@@ -26,7 +26,7 @@ for team, published in offendmex.LEADERBOARD.items():
 
 print("\nBootstrap 95% intervals for F1 (b=10000, shared index plan):")
 plan = cj.make_plan(ds.n, 10_000, seed=42)
-dists = cj.distributions(ds, plan, threads=4)
+dists = cj.distributions(ds, plan)
 f1_points = {t: points[t][cj.MetricKind.F1].value for t in ds.teams}
 f1_dists = {t: dists[t][cj.MetricKind.F1] for t in ds.teams}
 for team, ci in cj.ordered_intervals(f1_dists, f1_points):

@@ -17,7 +17,7 @@ from challenge_judge.report import emit_tables, round4
 from challenge_judge.svgfig import emit_all_figures
 
 ds = cj.reconstruct(offendmex.reconstruction_spec(), seed=7)
-report = analyze(ds, RunConfig(positive="offensive", b=10_000, seed=42, threads=4))
+report = analyze(ds, RunConfig(positive="offensive", b=10_000, seed=42))
 
 f1 = report.by_metric[cj.MetricKind.F1]
 best = f1.differences[0].team_a

@@ -41,7 +41,6 @@ from .report import emit_tables
 from .resampling import (
     ResamplePlan,
     ScoreDistribution,
-    distribution,
     distributions,
     make_plan,
     paired_difference,
@@ -69,7 +68,6 @@ __all__ = [
     "analyze",
     "confusion",
     "differences_from_best",
-    "distribution",
     "distributions",
     "emit_all_figures",
     "emit_difference_plot",

@@ -58,7 +58,7 @@ def _threads_default() -> int | None:
             return int(env)
         except ValueError:
             raise ConfigError(f"CHALLENGE_JUDGE_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count()
+    return None
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the full comparison and write reports")
     add_common(p)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, help="worker pool size (default: machine)")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
     p.add_argument("--pairs", help="histogram pairs, e.g. teamA:teamB,teamA:teamC")
     p.set_defaults(func=cmd_analyze)
 

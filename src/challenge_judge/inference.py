@@ -208,8 +208,3 @@ def star_matrix(
             pv = p_value(diffs, delta)
             cells[(row_team, col_team)] = StarCell(delta, pv.p, stars_for(pv.p))
     return StarMatrix(tuple(ranked), cells)
-
-
-def two_sided(p: float) -> float:
-    """Two-sided version of a one-sided bootstrap p-value."""
-    return min(1.0, 2.0 * p)

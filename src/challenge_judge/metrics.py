@@ -59,9 +59,6 @@ class ConfusionCounts:
         """Number of gold positives."""
         return self.tp + self.fn_
 
-    def scaled(self, k: int) -> "ConfusionCounts":
-        return ConfusionCounts(self.tp * k, self.fp * k, self.fn_ * k, self.tn * k)
-
 
 @dataclass(frozen=True)
 class Score:

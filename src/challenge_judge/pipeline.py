@@ -44,7 +44,7 @@ class RunConfig:
     metrics: tuple[MetricKind, ...] = ALL_METRICS
     out: Path | None = None
     pairs: tuple[tuple[str, str], ...] | None = None
-    threads: int | None = None
+    threads: int | None = None  # validated for compatibility; selects nothing
 
     def validate(self) -> None:
         if self.b < MIN_REPLICATES:
@@ -84,8 +84,8 @@ class MetricReport:
 class ComparisonReport:
     """Everything the emitters need, in one immutable bundle.
 
-    ``threads`` is deliberately absent: output must be byte-identical
-    across worker-pool sizes, so only result-relevant settings are echoed.
+    ``threads`` is deliberately absent: it changes neither results nor
+    speed, so only result-relevant settings are echoed.
     """
 
     b: int

@@ -189,11 +189,13 @@ def report_json(r: ComparisonReport) -> str:
     return json.dumps(to_dict(r), indent=2, ensure_ascii=False) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> Path:
+    """Write one UTF-8 output file, mapping OS errors to IoFailure."""
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def _leaderboard_order(r: ComparisonReport) -> list[str]:
@@ -239,9 +241,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
 
     def put(name: str, text: str) -> None:
-        path = out / name
-        _write(path, text)
-        written.append(path)
+        written.append(write_text(out / name, text))
 
     put("report.json", report_json(r))
 

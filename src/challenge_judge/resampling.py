@@ -1,40 +1,56 @@
 """Shared with-replacement index plans and bootstrap score distributions.
 
 Every replicate row is drawn from its own counter-based stream keyed by
-(seed, row), so the plan is bit-identical no matter how many workers
-regenerate or consume it. All teams are evaluated on the same index rows,
-which is what makes per-replicate score differences meaningful.
+(seed, row), so any row can be regenerated in isolation and the result
+does not depend on how rows are grouped. All teams are evaluated on the
+same index rows, which is what makes per-replicate score differences
+meaningful. Rows are generated and counted in fixed blocks, so memory
+does not grow with b*n.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import PlanMismatch, UnknownTeam
+from .errors import PlanMismatch
 from .metrics import ALL_METRICS, MetricKind, metric_values
 
 DEFAULT_REPLICATES = 10_000
+BLOCK_ROWS = 64  # replicate rows generated and counted together
 
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """B rows of n with-replacement indices shared by every team."""
+    """B rows of n with-replacement indices shared by every team.
+
+    The plan stores only (n, b, seed); ``blocks`` regenerates the rows.
+    """
 
     n: int
     b: int
     seed: int
-    indices: np.ndarray  # shape (b, n), values in [0, n)
 
-    def __post_init__(self):
-        if self.indices.shape != (self.b, self.n):
-            raise PlanMismatch(
-                f"index matrix has shape {self.indices.shape}, expected {(self.b, self.n)}"
-            )
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Index rows in order, as (rows, n) int32 blocks of BLOCK_ROWS rows.
+
+        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``;
+        one Philox instance is re-keyed per row instead of built anew.
+        """
+        bitgen = np.random.Philox(key=[self.seed, 0])
+        gen = np.random.Generator(bitgen)
+        fresh = bitgen.state
+        key = fresh["state"]["key"]
+        for start in range(0, self.b, BLOCK_ROWS):
+            block = np.empty((min(BLOCK_ROWS, self.b - start), self.n), dtype=np.int32)
+            for i, row in enumerate(block):
+                key[1] = start + i
+                bitgen.state = fresh
+                row[:] = gen.integers(0, self.n, size=self.n, dtype=np.int32)
+            yield block
 
 
 @dataclass(frozen=True)
@@ -51,50 +67,16 @@ class ScoreDistribution:
         return len(self.values)
 
 
-def _row_indices(seed: int, row: int, n: int) -> np.ndarray:
-    """One replicate's index row, from the (seed, row)-keyed Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, row]))
-    return gen.integers(0, n, size=n, dtype=np.int32)
-
-
 def make_plan(n: int, b: int, seed: int) -> ResamplePlan:
-    """Generate the shared index plan for ``b`` resamples of size ``n``.
+    """The shared index plan for ``b`` resamples of size ``n``.
 
     Deterministic in (n, b, seed); rows are independent counter-based
     streams, so any subset of rows can be regenerated in isolation.
     """
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    indices = np.empty((b, n), dtype=np.int32)
-    for r in range(b):
-        indices[r] = _row_indices(seed, r, n)
-    return ResamplePlan(n=n, b=b, seed=seed, indices=indices)
-
-
-def replicate_counts(ds: LabeledDataset, team: str, plan: ResamplePlan):
-    """Per-replicate (tp, fp, fn) count arrays for one team under the plan."""
-    if team not in ds.teams:
-        raise UnknownTeam(f"team {team!r} not in dataset (have {list(ds.teams)})")
-    if plan.n != ds.n:
-        raise PlanMismatch(f"plan is for n={plan.n} but dataset has n={ds.n}")
-    gold_pos = ds.gold == ds.positive
-    pred_pos = ds.teams[team] == ds.positive
-    # category code per example: 3=tp, 2=fn, 1=fp, 0=tn
-    cat = (2 * gold_pos + pred_pos).astype(np.int8)
-    c = cat[plan.indices]
-    tp = (c == 3).sum(axis=1)
-    fn = (c == 2).sum(axis=1)
-    fp = (c == 1).sum(axis=1)
-    return tp, fp, fn
-
-
-def distribution(
-    ds: LabeledDataset, team: str, m: MetricKind, plan: ResamplePlan
-) -> ScoreDistribution:
-    """Bootstrap score distribution of one (team, metric) under the plan."""
-    tp, fp, fn = replicate_counts(ds, team, plan)
-    values, defined = metric_values(tp, fp, fn, m)
-    return ScoreDistribution(team, m, values, int(np.sum(~defined)))
+    np.random.Philox(key=[seed, 0])  # rejects a seed Philox cannot take as a key
+    return ResamplePlan(n=n, b=b, seed=seed)
 
 
 def distributions(
@@ -105,26 +87,40 @@ def distributions(
 ) -> dict[str, dict[MetricKind, ScoreDistribution]]:
     """All teams' distributions for the given metrics, sharing one plan.
 
-    ``threads`` sizes a worker pool over teams; the result is identical
-    for any thread count because every replicate row is fixed by the plan.
-    """
-    metrics = tuple(metrics)
+    Each block of rows becomes a (rows, n) multiplicity matrix W, and
+    ``W @ A`` gives every team's tp, fp and fn at once, where A holds the
+    0/1 indicators of each team's tp/fp/fn examples. The float64 product
+    is exact because every partial sum is an integer <= n.
 
-    def one_team(team: str) -> dict[MetricKind, ScoreDistribution]:
-        tp, fp, fn = replicate_counts(ds, team, plan)
-        out = {}
+    ``threads`` is validated and otherwise ignored; results and speed do
+    not depend on it.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if plan.n != ds.n:
+        raise PlanMismatch(f"plan is for n={plan.n} but dataset has n={ds.n}")
+    metrics = tuple(metrics)
+    names = list(ds.teams)
+    g = (ds.gold == ds.positive)[:, None]
+    p = np.column_stack([ds.teams[t] == ds.positive for t in names])
+    # columns: every team's tp indicator, then every fp, then every fn
+    indicators = np.hstack([g & p, ~g & p, g & ~p]).astype(np.float64)
+
+    def block_counts(block: np.ndarray) -> np.ndarray:
+        rows = len(block)
+        flat = (block + np.arange(rows, dtype=np.int64)[:, None] * plan.n).ravel()
+        w = np.bincount(flat, minlength=rows * plan.n).reshape(rows, plan.n)
+        return w @ indicators
+
+    counts = np.vstack([block_counts(block) for block in plan.blocks()])
+    out: dict[str, dict[MetricKind, ScoreDistribution]] = {}
+    for j, team in enumerate(names):
+        tp, fp, fn = counts[:, j :: len(names)].T
+        out[team] = {}
         for m in metrics:
             values, defined = metric_values(tp, fp, fn, m)
-            out[m] = ScoreDistribution(team, m, values, int(np.sum(~defined)))
-        return out
-
-    names = list(ds.teams)
-    if threads is not None and threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_team, names))
-    else:
-        results = [one_team(t) for t in names]
-    return dict(zip(names, results))
+            out[team][m] = ScoreDistribution(team, m, values, int(np.sum(~defined)))
+    return out
 
 
 def paired_difference(da: ScoreDistribution, db: ScoreDistribution) -> np.ndarray:

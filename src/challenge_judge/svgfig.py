@@ -13,8 +13,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import IoFailure
 from .pipeline import ComparisonReport, PairAnalysis
+from .report import write_text
 
 WIDTH, HEIGHT = 1600, 900
 RED = "#cc3311"  # difference interval containing zero
@@ -66,14 +66,6 @@ class Canvas:
         return "\n".join([*self.parts, "</svg>"]) + "\n"
 
 
-def _write(path: Path, text: str) -> Path:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return path
-
-
 def _xscale(lo: float, hi: float, x0: float, x1: float):
     """Affine data->pixel map with 5% padding; degenerate spans get a unit pad."""
     span = hi - lo
@@ -110,7 +102,7 @@ def emit_interval_plot(r: ComparisonReport, out_dir: str | Path) -> Path:
             c.line(sx(ci.lower), y - 6, sx(ci.lower), y + 6, stroke=BLUE, width=2)
             c.line(sx(ci.upper), y - 6, sx(ci.upper), y + 6, stroke=BLUE, width=2)
             c.circle(sx(ci.point), y, 5, fill="black")
-    return _write(Path(out_dir) / "fig1_intervals.svg", c.render())
+    return write_text(Path(out_dir) / "fig1_intervals.svg", c.render())
 
 
 def emit_difference_plot(r: ComparisonReport, out_dir: str | Path) -> Path:
@@ -143,7 +135,7 @@ def emit_difference_plot(r: ComparisonReport, out_dir: str | Path) -> Path:
             c.line(sx(d.ci.lower), y - 6, sx(d.ci.lower), y + 6, stroke=color, width=2)
             c.line(sx(d.ci.upper), y - 6, sx(d.ci.upper), y + 6, stroke=color, width=2)
             c.circle(sx(d.mean), y, 5, fill=color)
-    return _write(Path(out_dir) / "fig2_differences.svg", c.render())
+    return write_text(Path(out_dir) / "fig2_differences.svg", c.render())
 
 
 def histogram_bins(diffs: np.ndarray) -> int:
@@ -192,7 +184,7 @@ def emit_histogram(
         c.line(sx(value), y0, sx(value), y1 - 10, stroke=color, width=2, dash="6 4",
                cls="mark-line")
         c.text(sx(value), y1 - 20, label, size=22, anchor="middle", fill=color)
-    return _write(Path(out_dir) / f"fig3_{name}.svg", c.render())
+    return write_text(Path(out_dir) / f"fig3_{name}.svg", c.render())
 
 
 def pair_name(p: PairAnalysis) -> str:

@@ -21,14 +21,12 @@ from challenge_judge import offendmex
 from challenge_judge.cli import main
 from challenge_judge.dataset import reconstruct, write
 from challenge_judge.inference import p_value, percentile_ci, rank_teams
-from challenge_judge.metrics import MetricKind, confusion, metric_values, point_estimates, score
+from challenge_judge.metrics import MetricKind, confusion, point_estimates, score
 from challenge_judge.pipeline import RunConfig, analyze
 from challenge_judge.resampling import (
-    distribution,
     distributions,
     make_plan,
     paired_difference,
-    replicate_counts,
     single_metric,
 )
 
@@ -178,12 +176,11 @@ def test_criterion_3_paired_properties(tiny_ds):
 @announce(4, "directional significance conclusions stable over 10 seeds")
 def test_criterion_4_directional_sanity():
     spec = offendmex.reconstruction_spec()
-    teams = ("NLPCIC", "CIMATMTYGTO", "DCCDINFOTEC")
     for seed in range(10):
         ds = reconstruct(spec, seed=seed)
         pts = point_estimates(ds)
         plan = make_plan(ds.n, 10_000, seed=100 + seed)
-        d = {t: distribution(ds, t, F1, plan) for t in teams}
+        d = single_metric(distributions(ds, plan, (F1,)), F1)
 
         delta_runner = pts["NLPCIC"][F1].value - pts["CIMATMTYGTO"][F1].value
         p_runner = p_value(
@@ -218,10 +215,9 @@ def test_criterion_5_coverage():
             tuple(map(str, range(n))), gold, {"sys": pred}, "p"
         )
         plan = make_plan(n, b, seed=sim)
-        tp, fp, fn = replicate_counts(ds, "sys", plan)
+        dists = distributions(ds, plan, (P, R))["sys"]
         for m in (P, R):
-            values, _ = metric_values(tp, fp, fn, m)
-            ci = percentile_ci(values, 0.95)
+            ci = percentile_ci(dists[m].values, 0.95)
             if ci.lower <= truth[m] <= ci.upper:
                 covered[m] += 1
     elapsed = time.perf_counter() - start

@@ -15,7 +15,7 @@ from challenge_judge.errors import (
 )
 from challenge_judge.inference import percentile_ci
 from challenge_judge.metrics import MetricKind
-from challenge_judge.resampling import distribution, make_plan
+from challenge_judge.resampling import distributions, make_plan
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -128,7 +128,7 @@ class TestReconstruct:
         for seed in (11, 99):
             ds = reconstruct(spec, seed=seed)
             plan = make_plan(ds.n, 4000, seed=5)
-            d = distribution(ds, "t", MetricKind.F1, plan)
+            d = distributions(ds, plan, (MetricKind.F1,))["t"][MetricKind.F1]
             ci = percentile_ci(d, 0.95)
             endpoints.append((ci.lower, ci.upper))
         (lo1, hi1), (lo2, hi2) = endpoints

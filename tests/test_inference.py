@@ -14,7 +14,6 @@ from challenge_judge.inference import (
     rank_teams,
     star_matrix,
     stars_for,
-    two_sided,
 )
 from challenge_judge.metrics import MetricKind
 from challenge_judge.resampling import ScoreDistribution, distributions, make_plan, single_metric
@@ -159,10 +158,6 @@ class TestPValue:
         base = p_value(diffs, 0.015)
         shuffled = p_value(rng.permutation(diffs), 0.015)
         assert base == shuffled
-
-    def test_two_sided_caps_at_one(self):
-        assert two_sided(0.0292) == pytest.approx(0.0584)
-        assert two_sided(0.7) == 1.0
 
 
 class TestStars:

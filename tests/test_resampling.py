@@ -1,58 +1,74 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import challenge_judge as cj
-from challenge_judge.errors import PlanMismatch, UnknownTeam
-from challenge_judge.metrics import MetricKind, confusion, score
+from challenge_judge.errors import PlanMismatch
+from challenge_judge.metrics import MetricKind, confusion, metric_values, score
 from challenge_judge.resampling import (
-    distribution,
+    BLOCK_ROWS,
     distributions,
     make_plan,
     paired_difference,
-    replicate_counts,
 )
 
 F1, R = MetricKind.F1, MetricKind.RECALL
+MULTI_BLOCK_B = 2 * BLOCK_ROWS + 5  # two full blocks and a partial one
+
+
+def oracle_row(seed: int, row: int, n: int) -> np.ndarray:
+    """Replicate row ``row`` drawn straight from its (seed, row)-keyed stream."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, row]))
+    return gen.integers(0, n, size=n, dtype=np.int32)
+
+
+def indices(plan) -> np.ndarray:
+    return np.concatenate(list(plan.blocks()))
 
 
 class TestMakePlan:
     def test_single_example_dataset(self):
         plan = make_plan(1, 3, seed=99)
-        assert np.all(plan.indices == 0)
+        assert np.all(indices(plan) == 0)
 
     def test_deterministic(self):
         a = make_plan(50, 200, seed=7)
         b = make_plan(50, 200, seed=7)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(indices(a), indices(b))
 
     def test_seed_changes_plan(self):
         a = make_plan(50, 200, seed=7)
         b = make_plan(50, 200, seed=8)
-        assert not np.array_equal(a.indices, b.indices)
+        assert not np.array_equal(indices(a), indices(b))
 
     def test_rows_are_independent_streams(self):
-        # any row can be regenerated in isolation from (seed, row)
-        plan = make_plan(20, 30, seed=5)
-        from challenge_judge.resampling import _row_indices
+        # any row can be regenerated in isolation from (seed, row),
+        # including the rows on either side of each block boundary
+        plan = make_plan(20, MULTI_BLOCK_B, seed=5)
+        rows = indices(plan)
+        assert rows.shape == (MULTI_BLOCK_B, 20) and rows.dtype == np.int32
+        for r in range(MULTI_BLOCK_B):
+            assert np.array_equal(rows[r], oracle_row(5, r, 20)), r
 
-        for r in (0, 13, 29):
-            assert np.array_equal(plan.indices[r], _row_indices(5, r, 20))
+    def test_blocks_are_fixed_size_with_a_partial_tail(self):
+        plan = make_plan(20, MULTI_BLOCK_B, seed=5)
+        assert [len(block) for block in plan.blocks()] == [BLOCK_ROWS, BLOCK_ROWS, 5]
 
     def test_indices_in_range(self):
-        plan = make_plan(7, 500, seed=1)
-        assert plan.indices.min() >= 0
-        assert plan.indices.max() < 7
+        rows = indices(make_plan(7, 500, seed=1))
+        assert rows.min() >= 0
+        assert rows.max() < 7
 
     def test_per_position_frequencies_uniform(self):
         # binomial check: each value's frequency at each position
         # stays within 5 sigma of b/5
         n, b = 5, 100_000
-        plan = make_plan(n, b, seed=3)
+        rows = indices(make_plan(n, b, seed=3))
         sigma = np.sqrt(0.2 * 0.8 / b)
         for pos in range(n):
-            freq = np.bincount(plan.indices[:, pos], minlength=n) / b
+            freq = np.bincount(rows[:, pos], minlength=n) / b
             assert np.all(np.abs(freq - 0.2) < 5 * sigma)
 
     def test_rejects_empty(self):
@@ -69,19 +85,14 @@ class TestDistribution:
             tuple(str(i) for i in range(40)), gold, {"t": gold.copy()}, "p"
         )
         plan = make_plan(40, 200, seed=0)
-        d = distribution(ds, "t", F1, plan)
+        d = distributions(ds, plan, (F1,))["t"][F1]
         assert np.all(d.values == 1.0)
         assert d.degenerate_count == 0
-
-    def test_unknown_team(self, tiny_ds):
-        plan = make_plan(3, 10, seed=0)
-        with pytest.raises(UnknownTeam):
-            distribution(tiny_ds, "nope", F1, plan)
 
     def test_plan_size_mismatch(self, tiny_ds):
         plan = make_plan(4, 10, seed=0)
         with pytest.raises(PlanMismatch):
-            distribution(tiny_ds, "A", F1, plan)
+            distributions(tiny_ds, plan)
 
     def test_recall_mean_matches_exhaustive_enumeration(self, tiny_ds):
         # brute-force oracle: all 27 equally likely resamples of n=3
@@ -96,16 +107,17 @@ class TestDistribution:
 
         b = 40_000
         plan = make_plan(3, b, seed=11)
-        d = distribution(tiny_ds, "A", R, plan)
+        d = distributions(tiny_ds, plan, (R,))["A"][R]
         mc_sigma = exact_sd / np.sqrt(b)
         assert abs(float(d.values.mean()) - exact_mean) < 3 * mc_sigma
 
     def test_pairing_spot_check(self, toy_ds):
-        # every team's score at replicate r comes from the same index row
-        plan = make_plan(toy_ds.n, 50, seed=21)
+        # every team's score at replicate r comes from the same index row,
+        # on both sides of each block boundary
+        plan = make_plan(toy_ds.n, MULTI_BLOCK_B, seed=21)
         dists = distributions(toy_ds, plan)
-        for r in (0, 17, 49):
-            row = plan.indices[r]
+        for r in (0, 17, BLOCK_ROWS - 1, BLOCK_ROWS, MULTI_BLOCK_B - 1):
+            row = oracle_row(21, r, toy_ds.n)
             for team in toy_ds.teams:
                 c = confusion(
                     toy_ds.gold[row], toy_ds.teams[team][row], toy_ds.positive
@@ -119,8 +131,8 @@ class TestDistribution:
         pred = np.asarray(["p", "p", "n", "n"])
         ds = cj.LabeledDataset(("1", "2", "3", "4"), gold, {"t": pred}, "p")
         plan = make_plan(4, 2000, seed=2)
-        d = distribution(ds, "t", R, plan)
-        no_positive = np.sum((plan.indices == 0).sum(axis=1) == 0)
+        d = distributions(ds, plan, (R,))["t"][R]
+        no_positive = np.sum((indices(plan) == 0).sum(axis=1) == 0)
         assert d.degenerate_count == no_positive
         assert d.degenerate_count > 0  # (3/4)^4 of replicates, with 2000 draws
 
@@ -136,8 +148,8 @@ class TestDistribution:
             tuple(map(str, range(60))), gold, {"worse": worse, "better": better}, "p"
         )
         plan = make_plan(60, 1000, seed=4)
-        dw = distribution(ds, "worse", F1, plan)
-        db = distribution(ds, "better", F1, plan)
+        dists = distributions(ds, plan, (F1,))
+        dw, db = dists["worse"][F1], dists["better"][F1]
         assert np.all(db.values >= dw.values)
 
     def test_thread_count_does_not_change_results(self, toy_ds):
@@ -147,33 +159,65 @@ class TestDistribution:
         for team in toy_ds.teams:
             for m in cj.ALL_METRICS:
                 assert np.array_equal(serial[team][m].values, parallel[team][m].values)
+        with pytest.raises(ValueError):
+            distributions(toy_ds, plan, threads=0)
+
+    def test_matches_per_team_gather_reference(self):
+        # reference: gather each team's tp/fp/fn category codes through the
+        # full index matrix and count them row by row
+        rng = np.random.default_rng(12)
+        n = 37
+        gold = rng.choice(["p", "n"], size=n)
+        teams = {f"t{i}": rng.choice(["p", "n"], size=n) for i in range(4)}
+        ds = cj.LabeledDataset(tuple(map(str, range(n))), gold, teams, "p")
+        plan = make_plan(n, MULTI_BLOCK_B, seed=6)
+        dists = distributions(ds, plan)
+        rows = np.stack([oracle_row(6, r, n) for r in range(MULTI_BLOCK_B)])
+        for team, pred in teams.items():
+            cat = (2 * (gold == "p") + (pred == "p"))[rows]
+            tp, fn, fp = ((cat == c).sum(axis=1) for c in (3, 2, 1))
+            for m in cj.ALL_METRICS:
+                values, defined = metric_values(tp, fp, fn, m)
+                assert np.array_equal(dists[team][m].values, values)
+                assert dists[team][m].degenerate_count == int(np.sum(~defined))
+
+    def test_memory_stays_bounded_on_the_paper_workload(self, offendmex_ds):
+        # a materialized b x n plan alone would be 87 MB here
+        plan = make_plan(offendmex_ds.n, 10_000, seed=42)
+        tracemalloc.start()
+        try:
+            distributions(offendmex_ds, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestPairedDifference:
     def test_same_team_gives_zeros(self, toy_ds):
         plan = make_plan(toy_ds.n, 100, seed=1)
-        d = distribution(toy_ds, "alpha", F1, plan)
+        d = distributions(toy_ds, plan, (F1,))["alpha"][F1]
         assert np.all(paired_difference(d, d) == 0.0)
 
     def test_linearity_of_means(self, toy_ds):
         plan = make_plan(toy_ds.n, 500, seed=1)
-        da = distribution(toy_ds, "alpha", F1, plan)
-        db = distribution(toy_ds, "bravo", F1, plan)
+        dists = distributions(toy_ds, plan, (F1,))
+        da, db = dists["alpha"][F1], dists["bravo"][F1]
         diff = paired_difference(da, db)
         assert diff.mean() == pytest.approx(
             da.values.mean() - db.values.mean(), abs=1e-12
         )
 
     def test_replicate_count_mismatch(self, toy_ds):
-        da = distribution(toy_ds, "alpha", F1, make_plan(toy_ds.n, 100, seed=1))
-        db = distribution(toy_ds, "bravo", F1, make_plan(toy_ds.n, 200, seed=1))
+        da = distributions(toy_ds, make_plan(toy_ds.n, 100, seed=1), (F1,))["alpha"][F1]
+        db = distributions(toy_ds, make_plan(toy_ds.n, 200, seed=1), (F1,))["bravo"][F1]
         with pytest.raises(PlanMismatch):
             paired_difference(da, db)
 
     def test_metric_mismatch(self, toy_ds):
         plan = make_plan(toy_ds.n, 100, seed=1)
-        da = distribution(toy_ds, "alpha", F1, plan)
-        db = distribution(toy_ds, "bravo", R, plan)
+        dists = distributions(toy_ds, plan, (F1, R))
+        da, db = dists["alpha"][F1], dists["bravo"][R]
         with pytest.raises(PlanMismatch):
             paired_difference(da, db)
 
@@ -192,7 +236,7 @@ class TestPairedDifference:
 
         b = 40_000
         plan = make_plan(3, b, seed=17)
-        da = distribution(tiny_ds, "A", F1, plan)
-        db = distribution(tiny_ds, "B", F1, plan)
+        dists = distributions(tiny_ds, plan, (F1,))
+        da, db = dists["A"][F1], dists["B"][F1]
         diff = paired_difference(da, db)
         assert abs(float(diff.mean()) - exact_mean) < 3 * exact_sd / np.sqrt(b)
