@@ -8,7 +8,7 @@ match the published intervals up to Monte Carlo error.
 
 import challenge_judge as cj
 from challenge_judge import offendmex
-from challenge_judge.report import round4
+from challenge_judge.report import half_up
 
 spec = offendmex.reconstruction_spec()
 print("Reconstruction spec (team -> tp, fp):")
@@ -21,7 +21,7 @@ print(f"\nDataset: n={ds.n} ({spec.n_pos} offensive, {spec.n_neg} non-offensive)
 points = cj.point_estimates(ds)
 print(f"\n{'team':<12} {'precision':>9} {'recall':>9} {'f1':>9}   (published)")
 for team, published in offendmex.LEADERBOARD.items():
-    row = [round4(points[team][m].value) for m in cj.ALL_METRICS]
+    row = [half_up(points[team][m].value) for m in cj.ALL_METRICS]
     print(f"{team:<12} {row[0]:>9} {row[1]:>9} {row[2]:>9}   {published}")
 
 print("\nBootstrap 95% intervals for F1 (b=10000, shared index plan):")
@@ -30,4 +30,4 @@ dists = cj.distributions(ds, plan)
 f1_points = {t: points[t][cj.MetricKind.F1].value for t in ds.teams}
 f1_dists = {t: dists[t][cj.MetricKind.F1] for t in ds.teams}
 for team, ci in cj.ordered_intervals(f1_dists, f1_points):
-    print(f"  {team:<12} ({round4(ci.lower)}, {round4(ci.upper)})")
+    print(f"  {team:<12} ({half_up(ci.lower)}, {half_up(ci.upper)})")

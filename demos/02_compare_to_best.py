@@ -13,7 +13,7 @@ from pathlib import Path
 import challenge_judge as cj
 from challenge_judge import offendmex
 from challenge_judge.pipeline import RunConfig, analyze
-from challenge_judge.report import emit_tables, round4
+from challenge_judge.report import emit_tables, half_up
 from challenge_judge.svgfig import emit_all_figures
 
 ds = cj.reconstruct(offendmex.reconstruction_spec(), seed=7)
@@ -25,15 +25,15 @@ print(f"F1 differences from the best team ({best}):")
 print(f"{'team':<12} {'ICI':>8} {'mean':>8} {'SCI':>8}  zero in CI?")
 for d in f1.differences:
     print(
-        f"{d.team_b:<12} {round4(d.ci.lower):>8} {round4(d.mean):>8}"
-        f" {round4(d.ci.upper):>8}  {'yes' if d.contains_zero else 'no'}"
+        f"{d.team_b:<12} {half_up(d.ci.lower):>8} {half_up(d.mean):>8}"
+        f" {half_up(d.ci.upper):>8}  {'yes' if d.contains_zero else 'no'}"
     )
 
 print("\nStar matrix cells against the leader (delta, p, stars):")
 sm = f1.stars
 for row in sm.teams[1:]:
     cell = sm.cells[(row, sm.teams[0])]
-    print(f"  {row:<12} {round4(cell.delta)}  p={cell.p:.4f}  {cell.stars or '(none)'}")
+    print(f"  {row:<12} {half_up(cell.delta)}  p={cell.p:.4f}  {cell.stars or '(none)'}")
 
 out = Path("demo_output")
 emit_tables(report, out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import dataset
 from .errors import ChallengeJudgeError, ConfigError
 from .metrics import ALL_METRICS, MetricKind
 from .pipeline import RunConfig, analyze
-from .report import emit_tables
+from .report import emit_tables, write_text
 from .svgfig import emit_all_figures
 
 EXIT_OK = 0
@@ -27,10 +26,14 @@ EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 
 
-def _parse_metrics(text: str) -> tuple[MetricKind, ...]:
+def _parse_metrics(value) -> tuple[MetricKind, ...]:
+    """Metrics from a flag string ``"f1,recall"`` or a config-file list."""
+    tokens = value.split(",") if isinstance(value, str) else value
+    if not isinstance(tokens, list):
+        raise ConfigError(f"metrics must be a comma list or a JSON list, got {value!r}")
     out = []
-    for token in text.split(","):
-        token = token.strip().lower()
+    for token in tokens:
+        token = str(token).strip().lower()
         try:
             out.append(MetricKind(token))
         except ValueError:
@@ -41,24 +44,18 @@ def _parse_metrics(text: str) -> tuple[MetricKind, ...]:
     return tuple(out)
 
 
-def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
+def _parse_pairs(value) -> tuple[tuple[str, str], ...]:
+    """Pairs from a flag string ``"a:b,a:c"`` or a config-file list of [a, b]."""
+    items = [chunk.split(":") for chunk in value.split(",")] if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise ConfigError(f"pairs must be a comma list or a JSON list, got {value!r}")
     pairs = []
-    for chunk in text.split(","):
-        names = chunk.split(":")
-        if len(names) != 2 or not names[0] or not names[1]:
-            raise ConfigError(f"bad pair {chunk!r}; expected teamA:teamB")
+    for names in items:
+        if not (isinstance(names, list) and len(names) == 2
+                and all(isinstance(t, str) and t for t in names)):
+            raise ConfigError(f"bad pair {names!r}; expected teamA:teamB")
         pairs.append((names[0], names[1]))
     return tuple(pairs)
-
-
-def _threads_default() -> int | None:
-    env = os.environ.get("CHALLENGE_JUDGE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"CHALLENGE_JUDGE_THREADS must be an integer, got {env!r}") from None
-    return None
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
@@ -75,20 +72,6 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             return file_cfg[key]
         return default
 
-    metrics = pick(args.metrics, "metrics", None)
-    if isinstance(metrics, list):
-        metrics = tuple(MetricKind(m) for m in metrics)
-    elif isinstance(metrics, str):
-        metrics = _parse_metrics(metrics)
-    elif metrics is None:
-        metrics = ALL_METRICS
-
-    pairs = pick(getattr(args, "pairs", None), "pairs", None)
-    if isinstance(pairs, list):
-        pairs = tuple((p[0], p[1]) for p in pairs)
-    elif isinstance(pairs, str):
-        pairs = _parse_pairs(pairs)
-
     input_path = pick(args.input, "input", None)
     out = pick(getattr(args, "out", None), "out", None)
     positive = pick(args.positive, "positive", None)
@@ -96,6 +79,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--input is required")
     if positive is None:
         raise ConfigError("--positive is required")
+    metrics = pick(args.metrics, "metrics", None)
+    pairs = pick(getattr(args, "pairs", None), "pairs", None)
     threads = pick(getattr(args, "threads", None), "threads", None)
     return RunConfig(
         input=Path(input_path),
@@ -103,10 +88,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         b=int(pick(args.b, "b", RunConfig.b)),
         seed=int(pick(args.seed, "seed", RunConfig.seed)),
         level=float(pick(args.level, "level", RunConfig.level)),
-        metrics=metrics,
+        metrics=_parse_metrics(metrics) if metrics is not None else ALL_METRICS,
         out=Path(out) if out is not None else None,
-        pairs=pairs,
-        threads=int(threads) if threads is not None else _threads_default(),
+        pairs=_parse_pairs(pairs) if pairs is not None else None,
+        threads=int(threads) if threads is not None else None,
     )
 
 
@@ -133,9 +118,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config.validate()
     ds = dataset.load(config.input, config.positive)
     report = analyze(ds, config)
-    config.out.mkdir(parents=True, exist_ok=True)
-    (config.out / "manifest.json").write_text(_manifest(config), encoding="utf-8")
     emit_tables(report, config.out)
+    write_text(config.out / "manifest.json", _manifest(config))
     emit_all_figures(report, config.out)
     return EXIT_OK
 

@@ -3,11 +3,10 @@
 Intervals use the percentile method: endpoints are empirical quantiles of
 the bootstrap distribution with linear interpolation between order
 statistics. The p-value for an oriented pair (A better than B by delta on
-the full dataset) is the fraction of bootstrap difference replicates
-reaching 2*delta, with add-one smoothing (exceed+1)/(b+1) so p never
-degenerates to 0. The bootstrap difference
-distribution is centered near delta, which is what makes the 2*delta
-threshold play the role of the null's tail cutoff.
+the full dataset) is the add-one fraction (exceed+1)/(b+1) of bootstrap
+difference replicates reaching 2*delta, so p never degenerates to 0. The
+bootstrap difference distribution is centered near delta, which is what
+makes the 2*delta threshold play the role of the null's tail cutoff.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class DifferenceResult:
 class PValueResult:
     p: float
     b_exceed: int
-    smoothing: str = "add-one"
 
 
 @dataclass(frozen=True)

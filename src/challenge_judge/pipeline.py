@@ -23,6 +23,7 @@ from .inference import (
 from .metrics import ALL_METRICS, MetricKind, Score, point_estimates
 from .resampling import (
     DEFAULT_REPLICATES,
+    SEED_LIMIT,
     make_plan,
     distributions,
     paired_difference,
@@ -51,8 +52,12 @@ class RunConfig:
             raise ConfigError(f"b must be >= {MIN_REPLICATES}, got {self.b}")
         if not 0.5 <= self.level < 1.0:
             raise ConfigError(f"level must be in [0.5, 1), got {self.level}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if not self.metrics:
             raise ConfigError("metrics subset must be non-empty")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ConfigError(f"metrics must not repeat, got {list(map(str, self.metrics))}")
         if not self.positive:
             raise ConfigError("positive label must be non-empty")
         if self.threads is not None and self.threads < 1:

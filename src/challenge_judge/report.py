@@ -3,7 +3,7 @@
 report.json is the single source of truth. Every real number is stored at
 full precision together with a 4-decimal half-up display string; the CSV
 and LaTeX files (and the SVG figures) are views derived from the same
-report object, so re-emitting a parsed report is byte-identical.
+report object.
 """
 
 from __future__ import annotations
@@ -12,26 +12,20 @@ import json
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IoFailure
-from .inference import ConfidenceInterval, DifferenceResult, StarCell, StarMatrix
-from .metrics import MetricKind, Score
-from .pipeline import ComparisonReport, MetricReport, PairAnalysis
+from .inference import ConfidenceInterval
+from .metrics import MetricKind
+from .pipeline import ComparisonReport
 
 
-def round4(x: float) -> str:
-    """Presentation rounding: half-up to 4 decimals."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
-
-
-def round3(x: float) -> str:
-    """Half-up to 3 decimals, used by the star-matrix cells."""
-    return str(Decimal(repr(float(x))).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
+def half_up(x: float, places: int = 4) -> str:
+    """Presentation rounding: half-up to ``places`` decimals (3 in star cells)."""
+    step = Decimal(1).scaleb(-places)
+    return str(Decimal(repr(float(x))).quantize(step, rounding=ROUND_HALF_UP))
 
 
 def _real(x: float) -> dict:
-    return {"value": float(x), "display": round4(x)}
+    return {"value": float(x), "display": half_up(x)}
 
 
 def _ci_dict(ci: ConfidenceInterval) -> dict:
@@ -41,12 +35,6 @@ def _ci_dict(ci: ConfidenceInterval) -> dict:
         "level": ci.level,
         "point": _real(ci.point),
     }
-
-
-def _ci_from(d: dict) -> ConfidenceInterval:
-    return ConfidenceInterval(
-        d["lower"]["value"], d["upper"]["value"], d["level"], d["point"]["value"]
-    )
 
 
 def to_dict(r: ComparisonReport) -> dict:
@@ -77,7 +65,7 @@ def to_dict(r: ComparisonReport) -> dict:
                         "row": row,
                         "col": col,
                         "delta": _real(cell.delta),
-                        "delta_display3": round3(cell.delta),
+                        "delta_display3": half_up(cell.delta, 3),
                         "p": cell.p,
                         "stars": cell.stars,
                     }
@@ -121,68 +109,6 @@ def to_dict(r: ComparisonReport) -> dict:
             for p in r.pairs
         ],
     }
-
-
-def from_dict(d: dict) -> ComparisonReport:
-    cfg = d["config"]
-    metrics = tuple(MetricKind(m) for m in cfg["metrics"])
-    points = {
-        team: {MetricKind(m): Score(v["value"], v["defined"]) for m, v in by_m.items()}
-        for team, by_m in d["point_estimates"].items()
-    }
-    degenerate = {
-        team: {MetricKind(m): c for m, c in by_m.items()}
-        for team, by_m in d["degenerate_replicates"].items()
-    }
-    by_metric = {}
-    for m in metrics:
-        block = d["metrics"][str(m)]
-        intervals = [(e["team"], _ci_from(e)) for e in block["intervals"]]
-        differences = [
-            DifferenceResult(
-                e["team_a"],
-                e["team_b"],
-                e["delta"]["value"],
-                _ci_from(e["ci"]),
-                e["mean"]["value"],
-            )
-            for e in block["differences"]
-        ]
-        sm = block["star_matrix"]
-        stars = None
-        if sm is not None:
-            stars = StarMatrix(
-                tuple(sm["teams"]),
-                {
-                    (c["row"], c["col"]): StarCell(c["delta"]["value"], c["p"], c["stars"])
-                    for c in sm["cells"]
-                },
-            )
-        by_metric[m] = MetricReport(m, intervals, differences, stars)
-    pairs = tuple(
-        PairAnalysis(
-            p["team_a"],
-            p["team_b"],
-            MetricKind(p["metric"]),
-            p["delta"]["value"],
-            p["p"],
-            p["b_exceed"],
-            np.asarray(p["diffs"], dtype=np.float64),
-        )
-        for p in d["pairs"]
-    )
-    return ComparisonReport(
-        b=cfg["b"],
-        seed=cfg["seed"],
-        level=cfg["level"],
-        positive=cfg["positive"],
-        metrics=metrics,
-        teams=tuple(d["teams"]),
-        points=points,
-        degenerate=degenerate,
-        by_metric=by_metric,
-        pairs=pairs,
-    )
 
 
 def report_json(r: ComparisonReport) -> str:
@@ -248,7 +174,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
     # table 1: point estimates, leaderboard order
     header = ["team", *(str(m) for m in r.metrics)]
     rows = [
-        [team, *(round4(r.points[team][m].value) for m in r.metrics)]
+        [team, *(half_up(r.points[team][m].value) for m in r.metrics)]
         for team in _leaderboard_order(r)
     ]
     put("table1.csv", _csv_lines([header, *rows]))
@@ -259,7 +185,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
         name = str(m)
 
         rows = [
-            [team, round4(ci.lower), round4(ci.upper), round4(ci.point)]
+            [team, half_up(ci.lower), half_up(ci.upper), half_up(ci.point)]
             for team, ci in mr.intervals
         ]
         put(f"table2_{name}.csv", _csv_lines([["team", "lower", "upper", "point"], *rows]))
@@ -267,7 +193,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
         put(f"table2_{name}.tex", _tex_table(["Team", "CI"], tex_rows))
 
         rows = [
-            [d.team_b, round4(d.ci.lower), round4(d.mean), round4(d.ci.upper),
+            [d.team_b, half_up(d.ci.lower), half_up(d.mean), half_up(d.ci.upper),
              "true" if d.contains_zero else "false"]
             for d in mr.differences
         ]
@@ -291,7 +217,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
                     if cell is None:
                         cells.append("")
                     else:
-                        text = round3(cell.delta)
+                        text = half_up(cell.delta, 3)
                         if cell.stars:
                             text += f" {cell.stars}"
                         cells.append(text)

@@ -21,6 +21,7 @@ from .metrics import ALL_METRICS, MetricKind, metric_values
 
 DEFAULT_REPLICATES = 10_000
 BLOCK_ROWS = 64  # replicate rows generated and counted together
+SEED_LIMIT = 2**64  # a seed is one Philox key word: an integer in [0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,11 @@ class ResamplePlan:
     def blocks(self) -> Iterator[np.ndarray]:
         """Index rows in order, as (rows, n) int32 blocks of BLOCK_ROWS rows.
 
-        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``;
+        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``
+        with a uint64 key (a plain list sends seeds >= 2**63 through float64);
         one Philox instance is re-keyed per row instead of built anew.
         """
-        bitgen = np.random.Philox(key=[self.seed, 0])
+        bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         fresh = bitgen.state
         key = fresh["state"]["key"]
@@ -57,7 +59,6 @@ class ResamplePlan:
 class ScoreDistribution:
     """Bootstrap scores of one (team, metric), aligned by replicate index."""
 
-    team: str
     metric: MetricKind
     values: np.ndarray  # shape (b,)
     degenerate_count: int
@@ -75,7 +76,8 @@ def make_plan(n: int, b: int, seed: int) -> ResamplePlan:
     """
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    np.random.Philox(key=[seed, 0])  # rejects a seed Philox cannot take as a key
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return ResamplePlan(n=n, b=b, seed=seed)
 
 
@@ -119,7 +121,7 @@ def distributions(
         out[team] = {}
         for m in metrics:
             values, defined = metric_values(tp, fp, fn, m)
-            out[team][m] = ScoreDistribution(team, m, values, int(np.sum(~defined)))
+            out[team][m] = ScoreDistribution(m, values, int(np.sum(~defined)))
     return out
 
 

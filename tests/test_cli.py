@@ -6,7 +6,7 @@ import pytest
 
 import challenge_judge as cj
 from challenge_judge import offendmex
-from challenge_judge.cli import main
+from challenge_judge.cli import _merge, build_parser, main
 from challenge_judge.dataset import ReconstructionSpec, reconstruct, write
 
 
@@ -71,6 +71,22 @@ class TestAnalyze:
         assert len(doc["pairs"]) == 1
         assert {doc["pairs"][0]["team_a"], doc["pairs"][0]["team_b"]} == {"mid", "tail"}
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_philox_key_range_exits_2(self, small_csv, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--seed", seed) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, small_csv, tmp_path):
+        assert run_analyze(small_csv, tmp_path / "o", "--seed", str(2**64 - 1)) == 0
+
+    def test_duplicate_metrics_exit_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--metrics", "f1,recall,f1") == 2
+        assert "metrics must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_error_exits_1(self, small_csv, tmp_path, monkeypatch):
         import challenge_judge.cli as cli_mod
 
@@ -95,14 +111,38 @@ class TestConfigPrecedence:
         assert doc["b"] == 400  # flag wins
         assert doc["seed"] == 1  # config file fills the gap
 
-    def test_threads_env_fallback(self, small_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHALLENGE_JUDGE_THREADS", "2")
+    @pytest.mark.parametrize("bad", [
+        {"metrics": ["f2"]},
+        {"metrics": 3},
+        {"pairs": [["a"]]},
+        {"pairs": [["ace", ""]]},
+        {"pairs": ["ace:mid"]},
+        {"pairs": {"ace": "mid"}},
+    ])
+    def test_bad_config_lists_exit_2(self, small_csv, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
         out = tmp_path / "o"
-        assert run_analyze(small_csv, out) == 0
+        code = main([
+            "analyze", "--input", str(small_csv), "--positive", "offensive",
+            "--config", str(cfg), "--out", str(out), "--b", "200",
+        ])
+        assert code == 2
+        assert not out.exists()
 
-    def test_bad_threads_env_exits_2(self, small_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHALLENGE_JUDGE_THREADS", "lots")
-        assert run_analyze(small_csv, tmp_path / "o") == 2
+    def test_config_lists_equal_flag_strings(self, small_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"metrics": ["F1", " recall"], "pairs": [["ace", "mid"], ["mid", "tail"]]}
+        ))
+        common = ["analyze", "--input", str(small_csv), "--positive", "offensive"]
+        from_file = _merge(build_parser().parse_args([*common, "--config", str(cfg)]))
+        from_flags = _merge(build_parser().parse_args(
+            [*common, "--metrics", "F1, recall", "--pairs", "ace:mid,mid:tail"]
+        ))
+        assert from_file == from_flags
+        assert from_file.metrics == (cj.MetricKind.F1, cj.MetricKind.RECALL)
+        assert from_file.pairs == (("ace", "mid"), ("mid", "tail"))
 
 
 class TestValidate:

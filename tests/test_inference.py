@@ -21,9 +21,9 @@ from challenge_judge.resampling import ScoreDistribution, distributions, make_pl
 F1 = MetricKind.F1
 
 
-def dist(values, team="t", metric=F1):
+def dist(values, metric=F1):
     values = np.asarray(values, dtype=np.float64)
-    return ScoreDistribution(team, metric, values, 0)
+    return ScoreDistribution(metric, values, 0)
 
 
 class TestPercentileCI:
@@ -80,7 +80,7 @@ class TestOverlap:
 
 class TestOrderedIntervals:
     def test_sorted_by_point_descending(self):
-        dists = {t: dist(np.full(100, v), team=t) for t, v in
+        dists = {t: dist(np.full(100, v)) for t, v in
                  [("low", 0.3), ("high", 0.9), ("mid", 0.6)]}
         points = {"low": 0.3, "high": 0.9, "mid": 0.6}
         out = ordered_intervals(dists, points)
@@ -91,7 +91,7 @@ class TestOrderedIntervals:
         assert len(out) == 1
 
     def test_tie_break_lexicographic(self):
-        dists = {t: dist([0.5] * 10, team=t) for t in ("zeta", "alpha")}
+        dists = {t: dist([0.5] * 10) for t in ("zeta", "alpha")}
         out = ordered_intervals(dists, {"zeta": 0.5, "alpha": 0.5})
         assert [t for t, _ in out] == ["alpha", "zeta"]
 
@@ -99,7 +99,7 @@ class TestOrderedIntervals:
 class TestDifferencesFromBest:
     def test_clone_team_exact_zero(self):
         values = np.linspace(0.4, 0.6, 100)
-        dists = {"a": dist(values, "a"), "b": dist(values.copy(), "b")}
+        dists = {"a": dist(values), "b": dist(values.copy())}
         out = differences_from_best(dists, {"a": 0.5, "b": 0.5})
         (res,) = out
         assert res.team_a == "a" and res.team_b == "b"  # lexicographic tie-break
@@ -119,7 +119,7 @@ class TestDifferencesFromBest:
         rng = np.random.default_rng(0)
         dists, points = {}, {}
         for t, mu in [("best", 0.8), ("x", 0.7), ("y", 0.5), ("z", 0.6)]:
-            dists[t] = dist(np.clip(rng.normal(mu, 0.02, 500), 0, 1), t)
+            dists[t] = dist(np.clip(rng.normal(mu, 0.02, 500), 0, 1))
             points[t] = mu
         out = differences_from_best(dists, points)
         means = [r.mean for r in out]
@@ -200,7 +200,7 @@ class TestStarMatrix:
 
     def test_clone_cell_has_no_stars(self):
         values = np.linspace(0.3, 0.7, 200)
-        dists = {"a": dist(values, "a"), "b": dist(values.copy(), "b")}
+        dists = {"a": dist(values), "b": dist(values.copy())}
         sm = star_matrix(dists, {"a": 0.5, "b": 0.5})
         cell = sm.cells[("b", "a")]
         assert cell.delta == 0.0

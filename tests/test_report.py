@@ -1,4 +1,3 @@
-import json
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
@@ -9,7 +8,7 @@ import pytest
 import challenge_judge as cj
 from challenge_judge.metrics import MetricKind
 from challenge_judge.pipeline import RunConfig, analyze
-from challenge_judge.report import emit_tables, from_dict, report_json, round4, to_dict
+from challenge_judge.report import emit_tables, half_up, to_dict
 from challenge_judge.svgfig import (
     emit_all_figures,
     emit_difference_plot,
@@ -39,15 +38,19 @@ def solo_report():
 
 class TestRounding:
     def test_half_up_at_the_boundary(self):
-        assert round4(0.00025) == "0.0003"  # half-even would give 0.0002
-        assert round4(0.00015) == "0.0002"
+        assert half_up(0.00025) == "0.0003"  # half-even would give 0.0002
+        assert half_up(0.00015) == "0.0002"
 
     def test_fixed_width(self):
-        assert round4(0.5) == "0.5000"
-        assert round4(-0.011) == "-0.0110"
+        assert half_up(0.5) == "0.5000"
+        assert half_up(-0.011) == "-0.0110"
 
     def test_plain_value(self):
-        assert round4(0.71536523) == "0.7154"
+        assert half_up(0.71536523) == "0.7154"
+
+    def test_three_places_for_star_cells(self):
+        assert half_up(0.0025, 3) == "0.003"  # half-even would give 0.002
+        assert half_up(0.5, 3) == "0.500"
 
 
 def _walk_display_pairs(node):
@@ -62,11 +65,6 @@ def _walk_display_pairs(node):
 
 
 class TestJsonReport:
-    def test_roundtrip_is_byte_identical(self, small_report):
-        text = report_json(small_report)
-        again = report_json(from_dict(json.loads(text)))
-        assert again == text
-
     def test_every_display_field_is_half_up_4dp(self, small_report):
         doc = to_dict(small_report)
         pairs = list(_walk_display_pairs(doc))
@@ -109,7 +107,7 @@ class TestTables:
         lines = (tmp_path / "table2_f1.csv").read_text().splitlines()
         assert lines[0] == "team,lower,upper,point"
         for line, (team, ci) in zip(lines[1:], small_report.by_metric[F1].intervals):
-            assert line == f"{team},{round4(ci.lower)},{round4(ci.upper)},{round4(ci.point)}"
+            assert line == f"{team},{half_up(ci.lower)},{half_up(ci.upper)},{half_up(ci.point)}"
 
     def test_star_cells_render_with_stars(self, small_report, tmp_path):
         emit_tables(small_report, tmp_path)

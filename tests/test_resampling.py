@@ -20,7 +20,8 @@ MULTI_BLOCK_B = 2 * BLOCK_ROWS + 5  # two full blocks and a partial one
 
 def oracle_row(seed: int, row: int, n: int) -> np.ndarray:
     """Replicate row ``row`` drawn straight from its (seed, row)-keyed stream."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, row]))
+    key = np.array([seed, row], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     return gen.integers(0, n, size=n, dtype=np.int32)
 
 
@@ -76,6 +77,20 @@ class TestMakePlan:
             make_plan(0, 10, seed=1)
         with pytest.raises(ValueError):
             make_plan(10, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            make_plan(10, 5, seed=seed)
+
+    def test_largest_seed_is_a_valid_key(self):
+        plan = make_plan(10, 3, seed=2**64 - 1)
+        assert np.array_equal(indices(plan)[2], oracle_row(2**64 - 1, 2, 10))
+
+    @pytest.mark.parametrize("a, b", [(2**63, 2**63 + 1), (0, 2**64 - 1)])
+    def test_high_seeds_keep_their_own_stream(self, a, b):
+        # float64 would merge each of these pairs into one key
+        assert not np.array_equal(indices(make_plan(50, 2, a)), indices(make_plan(50, 2, b)))
 
 
 class TestDistribution:
