@@ -59,39 +59,52 @@ def _parse_pairs(value) -> tuple[tuple[str, str], ...]:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    """Apply precedence: command-line flag > config file > built-in default."""
+    """Apply precedence: command-line flag > config file > built-in default.
+
+    A config-file scalar is read as its flag reads text: ``{"b": "300"}``
+    is 300, while ``{"seed": 2.7}`` or ``{"b": null}`` is a ``ConfigError``.
+    """
     file_cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: config file must hold a JSON object")
 
-    def pick(flag, key, default):
+    def pick(key, kind=str, default=None):
+        flag = getattr(args, key, None)
         if flag is not None:
             return flag
-        if key in file_cfg:
+        if key not in file_cfg:
+            return default
+        if kind is None:  # metrics, pairs: the flag string or a JSON list
             return file_cfg[key]
-        return default
+        try:
+            return kind(str(file_cfg[key]))
+        except ValueError:
+            raise ConfigError(
+                f"config key {key!r} must be {kind.__name__}, got {file_cfg[key]!r}"
+            ) from None
 
-    input_path = pick(args.input, "input", None)
-    out = pick(getattr(args, "out", None), "out", None)
-    positive = pick(args.positive, "positive", None)
+    input_path = pick("input")
+    out = pick("out")
+    positive = pick("positive")
     if input_path is None:
         raise ConfigError("--input is required")
     if positive is None:
         raise ConfigError("--positive is required")
-    metrics = pick(args.metrics, "metrics", None)
-    pairs = pick(getattr(args, "pairs", None), "pairs", None)
-    threads = pick(getattr(args, "threads", None), "threads", None)
+    metrics = pick("metrics", None)
+    pairs = pick("pairs", None)
     return RunConfig(
         input=Path(input_path),
         positive=positive,
-        b=int(pick(args.b, "b", RunConfig.b)),
-        seed=int(pick(args.seed, "seed", RunConfig.seed)),
-        level=float(pick(args.level, "level", RunConfig.level)),
+        b=pick("b", int, RunConfig.b),
+        seed=pick("seed", int, RunConfig.seed),
+        level=pick("level", float, RunConfig.level),
         metrics=_parse_metrics(metrics) if metrics is not None else ALL_METRICS,
         out=Path(out) if out is not None else None,
         pairs=_parse_pairs(pairs) if pairs is not None else None,
-        threads=int(threads) if threads is not None else None,
+        threads=pick("threads", int),
     )
 
 
@@ -151,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="wide CSV: id,gold,<team...>")
         p.add_argument("--positive", help="token of the positive class")
         p.add_argument("--config", help="optional JSON config file; flags override it")
-        p.add_argument("--b", type=int, help="bootstrap replicates (default 10000)")
-        p.add_argument("--seed", type=int, help="resampling seed (default 42)")
-        p.add_argument("--level", type=float, help="CI level (default 0.95)")
-        p.add_argument("--metrics", help="comma list of precision,recall,f1")
 
     p = sub.add_parser("analyze", help="run the full comparison and write reports")
     add_common(p)
+    p.add_argument("--b", type=int, help="bootstrap replicates (default 10000)")
+    p.add_argument("--seed", type=int, help="resampling seed (default 42)")
+    p.add_argument("--level", type=float, help="CI level (default 0.95)")
+    p.add_argument("--metrics", help="comma list of precision,recall,f1")
     p.add_argument("--out", help="output directory")
     p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
     p.add_argument("--pairs", help="histogram pairs, e.g. teamA:teamB,teamA:teamC")

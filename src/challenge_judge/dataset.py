@@ -1,8 +1,10 @@
 """Dataset ingestion, validation, and synthetic reconstruction.
 
 The on-disk format is a single wide CSV, ``id,gold,<team1>,...,<teamK>``,
-UTF-8, comma-delimited, header in the first row. Label tokens containing
-commas are rejected rather than quoted, so files round-trip byte-for-byte.
+UTF-8, comma-delimited, header in the first row, with standard CSV quoting
+(RFC 4180) as Python's ``csv`` module reads and writes it. Every cell must
+be non-empty; a leading UTF-8 byte-order mark is skipped. ``write`` and
+``load`` are inverses for every non-empty token.
 
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
@@ -20,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CountOutOfRange,
     DuplicateId,
     EmptyCell,
+    IoFailure,
     LengthMismatch,
     MissingColumn,
     UnknownPositiveLabel,
@@ -68,66 +72,54 @@ class LabeledDataset:
         return tuple(self.teams)
 
 
-def _check_token(token: str, where: str) -> str:
-    if token == "":
-        raise EmptyCell(f"empty cell at {where}")
-    if "," in token:
-        raise EmptyCell(f"token containing a comma at {where} (quoting is not supported)")
-    return token
-
-
 def load(path: str | Path, positive: str) -> LabeledDataset:
     """Load and validate a wide gold+predictions CSV."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: file is empty") from None
-        if len(header) < 2 or header[0] != "id" or header[1] != "gold":
-            raise MissingColumn(f"{path}: header must start with 'id,gold', got {header[:2]}")
-        team_names = header[2:]
-        if not team_names:
-            raise MissingColumn(f"{path}: no team columns after 'gold'")
-        if len(set(team_names)) != len(team_names):
-            raise DuplicateId(f"{path}: duplicate team column names")
-        ids: list[str] = []
-        gold: list[str] = []
-        cols: list[list[str]] = [[] for _ in team_names]
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise LengthMismatch(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            ex_id = _check_token(row[0], f"{path}:{lineno} (id)")
-            if ex_id in seen:
-                raise DuplicateId(f"{path}:{lineno}: duplicate id {ex_id!r}")
-            seen.add(ex_id)
-            ids.append(ex_id)
-            gold.append(_check_token(row[1], f"{path}:{lineno} (gold)"))
-            for k, team in enumerate(team_names):
-                cols[k].append(_check_token(row[2 + k], f"{path}:{lineno} ({team})"))
+            header = next(reader, [])
+            if header[:2] != ["id", "gold"]:
+                raise MissingColumn(f"{path}: header must start with 'id,gold', got {header[:2]}")
+            team_names = header[2:]
+            if not team_names:
+                raise MissingColumn(f"{path}: no team columns after 'gold'")
+            if len(set(team_names)) != len(team_names):
+                raise DuplicateId(f"{path}: duplicate team column names")
+            cols: list[list[str]] = [[] for _ in header]
+            seen: set[str] = set()
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise LengthMismatch(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                if row[0] in seen:
+                    raise DuplicateId(f"{path}:{lineno}: duplicate id {row[0]!r}")
+                if "" in row:
+                    raise EmptyCell(f"empty cell at {path}:{lineno} ({header[row.index('')]})")
+                seen.add(row[0])
+                for col, token in zip(cols, row):
+                    col.append(token)
+        except csv.Error as exc:
+            raise IoFailure(f"{path}:{reader.line_num}: {exc}") from None
+    ids, gold, *team_cols = cols
     if positive not in gold:
         raise UnknownPositiveLabel(
             f"{path}: positive label {positive!r} never occurs in the gold column"
         )
-    teams = {t: np.asarray(c) for t, c in zip(team_names, cols)}
+    teams = {t: np.asarray(c) for t, c in zip(team_names, team_cols)}
     return LabeledDataset(tuple(ids), np.asarray(gold), teams, positive)
 
 
 def write(ds: LabeledDataset, path: str | Path) -> None:
-    """Write a dataset back to the wide CSV format. Inverse of load."""
-    path = Path(path)
-    for i, token in enumerate(ds.ids):
-        _check_token(token, f"id row {i}")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, quoting=csv.QUOTE_NONE)
-        w.writerow(["id", "gold", *ds.teams])
-        cols = list(ds.teams.values())
-        for i, ex_id in enumerate(ds.ids):
-            w.writerow([ex_id, ds.gold[i], *(c[i] for c in cols)])
+    """Write a dataset in the wide CSV format, quoting as ``load`` reads it back."""
+    header = ["id", "gold", *ds.teams]
+    columns = [ds.ids, ds.gold, *ds.teams.values()]
+    for name, col in zip(header, columns):
+        if "" in col:
+            raise EmptyCell(f"cannot write {path}: empty cell ({name})")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *zip(*columns)])
 
 
 @dataclass(frozen=True)
@@ -151,8 +143,18 @@ class ReconstructionSpec:
     def from_json(cls, path: str | Path) -> "ReconstructionSpec":
         with Path(path).open(encoding="utf-8") as fh:
             raw = json.load(fh)
-        teams = {name: (int(c["tp"]), int(c["fp"])) for name, c in raw["teams"].items()}
-        return cls(int(raw["n_pos"]), int(raw["n_neg"]), teams)
+
+        def count(obj, key: str) -> int:  # as ``int`` reads text: 7 or "7", not 2.7 or true
+            return int(str(obj[key]))
+
+        try:
+            teams = {t: (count(c, "tp"), count(c, "fp")) for t, c in raw["teams"].items()}
+            n_pos, n_neg = count(raw, "n_pos"), count(raw, "n_neg")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}: a spec needs integer n_pos, n_neg and per-team tp, fp ({exc!r})"
+            ) from None
+        return cls(n_pos, n_neg, teams)
 
     def to_json(self, path: str | Path) -> None:
         raw = {

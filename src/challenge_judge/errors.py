@@ -46,7 +46,7 @@ class CountOutOfRange(ChallengeJudgeError):
 
 
 class IoFailure(ChallengeJudgeError):
-    """Reading or writing a report artifact failed."""
+    """Reading or writing a file failed."""
 
 
 class ConfigError(ChallengeJudgeError):

@@ -8,6 +8,8 @@ report object.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -131,7 +133,9 @@ def _leaderboard_order(r: ComparisonReport) -> list[str]:
 
 
 def _csv_lines(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _tex_table(header: list[str], rows: list[list[str]], note: str | None = None) -> str:

@@ -130,6 +130,50 @@ class TestConfigPrecedence:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("b", None),
+        ("b", "many"),
+        ("b", 300.9),
+        ("seed", 2.7),
+        ("seed", True),
+        ("level", "high"),
+        ("level", [0.9]),
+        ("threads", 1.5),
+    ])
+    def test_config_values_must_read_as_their_flag(self, small_csv, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        code = main([
+            "analyze", "--input", str(small_csv), "--positive", "offensive",
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_scalars_read_as_flag_text(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": 5, "positive": 1, "out": 2,
+            "b": "300", "seed": "7", "level": "0.9", "threads": 2,
+        }))
+        from_file = _merge(build_parser().parse_args(["analyze", "--config", str(cfg)]))
+        from_flags = _merge(build_parser().parse_args([
+            "analyze", "--input", "5", "--positive", "1", "--out", "2",
+            "--b", "300", "--seed", "7", "--level", "0.9", "--threads", "2",
+        ]))
+        assert from_file == from_flags
+
+    @pytest.mark.parametrize("doc", [3, [1, 2], "b"])
+    def test_config_file_must_be_an_object(self, small_csv, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([
+            "validate", "--input", str(small_csv), "--positive", "offensive",
+            "--config", str(cfg),
+        ]) == 2
+
     def test_config_lists_equal_flag_strings(self, small_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -160,6 +204,23 @@ class TestValidate:
         main(["validate", "--input", str(small_csv), "--positive", "offensive"])
         assert set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("flag", ["--b", "--seed", "--level", "--metrics"])
+    def test_analyze_only_flags_rejected(self, small_csv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(small_csv), "--positive", "offensive", flag, "5"])
+        assert exc.value.code == 2
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("id,gold,t\n1,pos," + "x" * 200_000 + "\n")
+        assert main(["validate", "--input", str(bad), "--positive", "pos"]) == 2
+        assert f"{bad}:2: field larger than field limit" in capsys.readouterr().err
+
+    def test_bom_file_is_valid(self, small_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
+        assert main(["validate", "--input", str(bom), "--positive", "offensive"]) == 0
+
 
 class TestReconstruct:
     def test_roundtrip_matches_leaderboard(self, tmp_path):
@@ -177,6 +238,34 @@ class TestReconstruct:
             assert round(pts[team][cj.MetricKind.PRECISION].value, 4) == prec
             assert round(pts[team][cj.MetricKind.RECALL].value, 4) == rec
             assert round(pts[team][cj.MetricKind.F1].value, 4) == f1
+
+    def test_label_with_comma_round_trips(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        ReconstructionSpec(20, 30, {"t": (15, 5)}).to_json(spec_path)
+        out_csv = tmp_path / "r.csv"
+        assert main([
+            "reconstruct", "--spec", str(spec_path), "--out", str(out_csv),
+            "--positive", "a,b", "--negative", 'say "no"',
+        ]) == 0
+        assert main(["validate", "--input", str(out_csv), "--positive", "a,b"]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_empty_negative_label_exits_2(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        ReconstructionSpec(20, 30, {"t": (15, 5)}).to_json(spec_path)
+        out_csv = tmp_path / "r.csv"
+        assert main([
+            "reconstruct", "--spec", str(spec_path), "--out", str(out_csv), "--negative", "",
+        ]) == 2
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("team", [{"tp": 9}, {"tp": 2.7, "fp": 0}])
+    def test_spec_with_missing_or_fractional_count_exits_2(self, tmp_path, team):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({"n_pos": 10, "n_neg": 10, "teams": {"t": team}}))
+        out_csv = tmp_path / "x.csv"
+        assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+        assert not out_csv.exists()
 
     def test_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "bad.json"

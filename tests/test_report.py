@@ -1,3 +1,4 @@
+import csv
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
@@ -123,6 +124,21 @@ class TestTables:
             "team,ici,mean,sci,contains_zero"
         ]
         assert len((tmp_path / "table4_f1.csv").read_text().splitlines()) == 1
+
+    def test_team_names_needing_quotes_parse_back(self, tmp_path):
+        spec = cj.ReconstructionSpec(
+            40, 60, {"a,b": (30, 10), 'say "x"': (25, 20), "plain": (20, 5)}
+        )
+        report = analyze(cj.reconstruct(spec, seed=4),
+                         RunConfig(positive="offensive", b=150, seed=3))
+        emit_tables(report, tmp_path)
+        tables = {}
+        for path in sorted(tmp_path.glob("*.csv")):
+            with path.open(newline="", encoding="utf-8") as fh:
+                tables[path.name] = list(csv.reader(fh))
+        for name, rows in tables.items():
+            assert {len(row) for row in rows} == {len(rows[0])}, name
+        assert {row[0] for row in tables["table1.csv"][1:]} == set(spec.teams)
 
     def test_emission_is_deterministic(self, small_report, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
