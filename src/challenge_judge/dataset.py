@@ -102,6 +102,8 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
                     col.append(token)
         except csv.Error as exc:
             raise IoFailure(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
     ids, gold, *team_cols = cols
     if positive not in gold:
         raise UnknownPositiveLabel(

@@ -216,6 +216,20 @@ class TestValidate:
         assert main(["validate", "--input", str(bad), "--positive", "pos"]) == 2
         assert f"{bad}:2: field larger than field limit" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"id,gold,t\n1,pos,\xff\n")
+        assert main(["validate", "--input", str(bad), "--positive", "pos"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 text" in err and "internal error" not in err
+
+    def test_non_utf8_file_analyze_exits_2_without_output(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"id,gold,t\n1,offensive,\xff\n")
+        out = tmp_path / "results"
+        assert run_analyze(bad, out) == 2
+        assert not out.exists()
+
     def test_bom_file_is_valid(self, small_csv, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())

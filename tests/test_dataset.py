@@ -105,6 +105,12 @@ class TestLoad:
             load(path, "pos")
         assert csv.field_size_limit() == limit
 
+    def test_non_utf8_bytes_are_an_io_failure(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,gold,t\n1,pos,pos\n2,neg,caf\xe9\xff\n")
+        with pytest.raises(IoFailure, match=f"^{path}: not UTF-8 text"):
+            load(path, "pos")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(MissingColumn):
             load(write_csv(tmp_path, ""), "pos")

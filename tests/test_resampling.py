@@ -9,6 +9,8 @@ from challenge_judge.errors import PlanMismatch
 from challenge_judge.metrics import MetricKind, confusion, metric_values, score
 from challenge_judge.resampling import (
     BLOCK_ROWS,
+    _count_dtype,
+    _lemire,
     distributions,
     make_plan,
     paired_difference,
@@ -23,6 +25,15 @@ def oracle_row(seed: int, row: int, n: int) -> np.ndarray:
     key = np.array([seed, row], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.integers(0, n, size=n, dtype=np.int32)
+
+
+def multiply_shift_row(seed: int, row: int, n: int) -> np.ndarray:
+    """Row ``row`` mapped from its raw Philox words without any rejection."""
+    key = np.array([seed, row], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw((n + 1) // 2)
+    low, high = words & np.uint64(2**32 - 1), words >> np.uint64(32)
+    draws = np.column_stack([low, high]).ravel()[:n]
+    return ((draws * np.uint64(n)) >> np.uint64(32)).astype(np.int32)
 
 
 def indices(plan) -> np.ndarray:
@@ -52,6 +63,40 @@ class TestMakePlan:
         assert rows.shape == (MULTI_BLOCK_B, 20) and rows.dtype == np.int32
         for r in range(MULTI_BLOCK_B):
             assert np.array_equal(rows[r], oracle_row(5, r, 20)), r
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 500, 2182, 30001])
+    def test_every_row_matches_numpy_integers(self, n):
+        plan = make_plan(n, MULTI_BLOCK_B, seed=9)
+        rows = indices(plan)
+        for r in range(MULTI_BLOCK_B):
+            assert np.array_equal(rows[r], oracle_row(9, r, n)), r
+
+    def test_rows_numpy_would_redraw_fall_back_to_numpy(self):
+        # at n=30001 about a quarter of the rows hold a draw numpy rejects,
+        # so the plain multiply-shift of their raw words is the wrong row
+        n, b = 30001, BLOCK_ROWS
+        rows = indices(make_plan(n, b, seed=1))
+        redrawn = [
+            r for r in range(b)
+            if not np.array_equal(multiply_shift_row(1, r, n), oracle_row(1, r, n))
+        ]
+        assert len(redrawn) == 15
+        for r in range(b):
+            assert np.array_equal(rows[r], oracle_row(1, r, n)), r
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 2183, 30001, 2**31 - 1])
+    def test_rejection_threshold_is_exact(self, n):
+        # draws whose low product half lands just below, on and above numpy's
+        # threshold, plus the extreme draws, against integer arithmetic
+        threshold = (2**32 - n) % n
+        inverse = pow(n, -1, 2**32)
+        lows = [t for t in (threshold - 1, threshold, threshold + 1) if t >= 0]
+        draws = [t * inverse % 2**32 for t in lows] + [0, 1, 2**31, 2**32 - 1]
+        got, rejected = _lemire(
+            np.array(draws, dtype="<u4")[:, None], n, np.empty((len(draws), 1), dtype="<u8")
+        )
+        assert got[:, 0].tolist() == [u * n >> 32 for u in draws]
+        assert rejected.tolist() == [u * n % 2**32 < threshold for u in draws]
 
     def test_blocks_are_fixed_size_with_a_partial_tail(self):
         plan = make_plan(20, MULTI_BLOCK_B, seed=5)
@@ -180,10 +225,14 @@ class TestDistribution:
     def test_matches_per_team_gather_reference(self):
         # reference: gather each team's tp/fp/fn category codes through the
         # full index matrix and count them row by row
+        # "never" predicts no positive (tp = pp = 0, so precision and F1 are
+        # degenerate in every row) and "always" predicts all (tp = gp, fn = 0)
         rng = np.random.default_rng(12)
         n = 37
         gold = rng.choice(["p", "n"], size=n)
         teams = {f"t{i}": rng.choice(["p", "n"], size=n) for i in range(4)}
+        teams["never"] = np.full(n, "n")
+        teams["always"] = np.full(n, "p")
         ds = cj.LabeledDataset(tuple(map(str, range(n))), gold, teams, "p")
         plan = make_plan(n, MULTI_BLOCK_B, seed=6)
         dists = distributions(ds, plan)
@@ -195,6 +244,13 @@ class TestDistribution:
                 values, defined = metric_values(tp, fp, fn, m)
                 assert np.array_equal(dists[team][m].values, values)
                 assert dists[team][m].degenerate_count == int(np.sum(~defined))
+
+    def test_counts_use_float32_while_it_is_exact(self):
+        # every partial sum of a replicate's counts is an integer <= n
+        assert _count_dtype(2**24) is np.float32
+        assert _count_dtype(2**24 + 1) is np.float64
+        assert float(np.float32(2**24)) == 2**24
+        assert float(np.float32(2**24 + 1)) != 2**24 + 1
 
     def test_memory_stays_bounded_on_the_paper_workload(self, offendmex_ds):
         # a materialized b x n plan alone would be 87 MB here
