@@ -66,8 +66,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     """
     file_cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = dataset.read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
 

@@ -6,6 +6,12 @@ UTF-8, comma-delimited, header in the first row, with standard CSV quoting
 be non-empty; a leading UTF-8 byte-order mark is skipped. ``write`` and
 ``load`` are inverses for every non-empty token.
 
+``load`` keeps the cells as ``str`` objects in one (n, K+2) object array;
+``gold`` and each team column are views of it, so every token, NUL
+characters included, is kept exactly as written. Which cells hold the
+positive label is worked out once per dataset (``positive_mask``) and
+shared by the point estimates and the bootstrap.
+
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
 synthetic (errors placed independently per team), so paired quantities are
@@ -17,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +38,7 @@ from .errors import (
     MissingColumn,
     UnknownPositiveLabel,
 )
+from .metrics import is_positive
 
 DEFAULT_NEGATIVE = "non-offensive"
 DEFAULT_POSITIVE = "offensive"
@@ -71,6 +79,17 @@ class LabeledDataset:
     def team_names(self) -> tuple[str, ...]:
         return tuple(self.teams)
 
+    @cached_property
+    def positive_mask(self) -> np.ndarray:
+        """(n, K+1) bool: which gold, then each team's, labels are positive.
+
+        Tokens are compared as ``str`` objects, exactly. The columns are
+        stacked first so that one comparison walks the tokens row by row,
+        the order ``load`` lays them out in.
+        """
+        columns = [np.asarray(c, dtype=object) for c in (self.gold, *self.teams.values())]
+        return is_positive(np.column_stack(columns), self.positive)
+
 
 def load(path: str | Path, positive: str) -> LabeledDataset:
     """Load and validate a wide gold+predictions CSV."""
@@ -86,7 +105,7 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
                 raise MissingColumn(f"{path}: no team columns after 'gold'")
             if len(set(team_names)) != len(team_names):
                 raise DuplicateId(f"{path}: duplicate team column names")
-            cols: list[list[str]] = [[] for _ in header]
+            rows: list[list[str]] = []
             seen: set[str] = set()
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -98,19 +117,18 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
                 if "" in row:
                     raise EmptyCell(f"empty cell at {path}:{lineno} ({header[row.index('')]})")
                 seen.add(row[0])
-                for col, token in zip(cols, row):
-                    col.append(token)
+                rows.append(row)
         except csv.Error as exc:
             raise IoFailure(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
-    ids, gold, *team_cols = cols
-    if positive not in gold:
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    if not is_positive(cells[:, 1], positive).any():
         raise UnknownPositiveLabel(
             f"{path}: positive label {positive!r} never occurs in the gold column"
         )
-    teams = {t: np.asarray(c) for t, c in zip(team_names, team_cols)}
-    return LabeledDataset(tuple(ids), np.asarray(gold), teams, positive)
+    teams = {t: cells[:, j] for j, t in enumerate(team_names, start=2)}
+    return LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
 
 
 def write(ds: LabeledDataset, path: str | Path) -> None:
@@ -122,6 +140,15 @@ def write(ds: LabeledDataset, path: str | Path) -> None:
             raise EmptyCell(f"cannot write {path}: empty cell ({name})")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *zip(*columns)])
+
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 raise IoFailure naming it."""
+    with Path(path).open(encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -143,8 +170,7 @@ class ReconstructionSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ReconstructionSpec":
-        with Path(path).open(encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
 
         def count(obj, key: str) -> int:  # as ``int`` reads text: 7 or "7", not 2.7 or true
             return int(str(obj[key]))
@@ -182,10 +208,10 @@ def reconstruct(
     """
     rng = np.random.default_rng(seed)
     n = spec.n_pos + spec.n_neg
-    gold = np.asarray([positive] * spec.n_pos + [negative] * spec.n_neg)
+    gold = np.array([positive] * spec.n_pos + [negative] * spec.n_neg, dtype=object)
     teams: dict[str, np.ndarray] = {}
     for team, (tp, fp) in spec.teams.items():
-        col = np.asarray([negative] * n, dtype=gold.dtype)
+        col = np.full(n, negative, dtype=object)
         hit = rng.choice(spec.n_pos, size=tp, replace=False)
         col[hit] = positive
         err = spec.n_pos + rng.choice(spec.n_neg, size=fp, replace=False)

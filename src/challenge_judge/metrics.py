@@ -68,21 +68,31 @@ class Score:
     defined: bool = True
 
 
+def is_positive(labels, positive: str) -> np.ndarray:
+    """Elementwise ``labels == positive``, comparing ``str`` objects exactly.
+
+    The label goes in as a 0-d object array: numpy would convert a bare str
+    operand to its fixed-width dtype, which drops trailing NULs, so that
+    ``"p\\x00"`` would match ``"p"`` and ``"\\x00"`` the empty string.
+    """
+    return np.asarray(labels, dtype=object) == np.array(positive, dtype=object)
+
+
 def confusion(gold: Sequence[str], pred: Sequence[str], positive: str) -> ConfusionCounts:
     """Count TP/FP/FN/TN of ``pred`` against ``gold`` for the positive class.
 
     Raises LengthMismatch if the vectors differ in length.
     """
-    gold = np.asarray(gold)
-    pred = np.asarray(pred)
+    gold = np.asarray(gold, dtype=object)
+    pred = np.asarray(pred, dtype=object)
     if gold.shape != pred.shape:
         raise LengthMismatch(
             f"gold has {gold.shape[0]} entries but pred has {pred.shape[0]}"
         )
     if gold.size == 0:
         raise LengthMismatch("label vectors must have at least one entry")
-    g = gold == positive
-    p = pred == positive
+    g = is_positive(gold, positive)
+    p = is_positive(pred, positive)
     tp = int(np.sum(g & p))
     fp = int(np.sum(~g & p))
     fn = int(np.sum(g & ~p))
@@ -125,9 +135,15 @@ def score(c: ConfusionCounts, m: MetricKind) -> Score:
 
 
 def point_estimates(ds: "LabeledDataset") -> Mapping[str, Mapping[MetricKind, Score]]:
-    """Full-dataset scores for every team and metric."""
+    """Full-dataset scores for every team and metric, from ``ds.positive_mask``."""
+    mask = ds.positive_mask
+    g, p = mask[:, :1], mask[:, 1:]
+    tp = (g & p).sum(axis=0)
+    fp = p.sum(axis=0) - tp
+    fn = int(g.sum()) - tp
+    tn = ds.n - tp - fp - fn
     out: dict[str, dict[MetricKind, Score]] = {}
-    for team, pred in ds.teams.items():
-        c = confusion(ds.gold, pred, ds.positive)
+    for j, team in enumerate(ds.teams):
+        c = ConfusionCounts(int(tp[j]), int(fp[j]), int(fn[j]), int(tn[j]))
         out[team] = {m: score(c, m) for m in ALL_METRICS}
     return out

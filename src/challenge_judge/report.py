@@ -138,15 +138,35 @@ def _csv_lines(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+_TEX_SPECIALS = str.maketrans({
+    "\\": r"\textbackslash{}",
+    "&": r"\&",
+    "%": r"\%",
+    "$": r"\$",
+    "#": r"\#",
+    "_": r"\_",
+    "{": r"\{",
+    "}": r"\}",
+    "~": r"\textasciitilde{}",
+    "^": r"\textasciicircum{}",
+})
+
+
+def _tex_escape(text: str) -> str:
+    """``text`` with LaTeX's special characters escaped."""
+    return text.translate(_TEX_SPECIALS)
+
+
 def _tex_table(header: list[str], rows: list[list[str]], note: str | None = None) -> str:
+    """A tabular whose header cells and row labels (team names) are escaped."""
     lines = [
         "\\begin{tabular}{l" + "r" * (len(header) - 1) + "}",
         "\\hline",
-        " & ".join(header) + " \\\\",
+        " & ".join(map(_tex_escape, header)) + " \\\\",
         "\\hline",
     ]
-    for row in rows:
-        lines.append(" & ".join(row) + " \\\\")
+    for label, *cells in rows:
+        lines.append(" & ".join([_tex_escape(label), *cells]) + " \\\\")
     lines.append("\\hline")
     lines.append("\\end{tabular}")
     if note:
@@ -228,7 +248,8 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
                 rows.append([row_team, *cells])
             put(f"table4_{name}.csv", _csv_lines([header, *rows]))
             tex_rows = [
-                [c.replace("†", "$\\dagger$") for c in row] for row in rows
+                [team, *(c.replace("†", "$\\dagger$") for c in cells)]
+                for team, *cells in rows
             ]
             put(
                 f"table4_{name}.tex",

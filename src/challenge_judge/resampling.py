@@ -143,8 +143,7 @@ def distributions(
     names = list(ds.teams)
     k = len(names)
     dtype = _count_dtype(plan.n)
-    g = ds.gold == ds.positive
-    p = np.column_stack([ds.teams[t] == ds.positive for t in names])
+    g, p = ds.positive_mask[:, 0], ds.positive_mask[:, 1:]
     # columns: every team's tp indicator, then every predicted positive, then gold
     indicators = np.column_stack([g[:, None] & p, p, g]).astype(dtype)
 

@@ -230,6 +230,23 @@ class TestValidate:
         assert run_analyze(bad, out) == 2
         assert not out.exists()
 
+    def test_non_utf8_config_exits_2(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff{}")
+        assert main([
+            "validate", "--input", str(small_csv), "--positive", "offensive",
+            "--config", str(cfg),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: not UTF-8 text" in err and "internal error" not in err
+
+    def test_non_utf8_config_analyze_exits_2_without_output(self, small_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"b": "\xff"}')
+        out = tmp_path / "results"
+        assert run_analyze(small_csv, out, "--config", str(cfg)) == 2
+        assert not out.exists()
+
     def test_bom_file_is_valid(self, small_csv, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
@@ -279,6 +296,15 @@ class TestReconstruct:
         spec_path.write_text(json.dumps({"n_pos": 10, "n_neg": 10, "teams": {"t": team}}))
         out_csv = tmp_path / "x.csv"
         assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+        assert not out_csv.exists()
+
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(b"\xff{}")
+        out_csv = tmp_path / "x.csv"
+        assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {spec_path}: not UTF-8 text" in err and "internal error" not in err
         assert not out_csv.exists()
 
     def test_bad_spec_exits_2(self, tmp_path):

@@ -111,6 +111,13 @@ class TestLoad:
         with pytest.raises(IoFailure, match=f"^{path}: not UTF-8 text"):
             load(path, "pos")
 
+    @pytest.mark.parametrize("token", ["a\x00", "\x00"])
+    def test_nul_tokens_load_exactly(self, tmp_path, token):
+        ds = load(write_csv(tmp_path, f"id,gold,t\n1,pos,{token}\n2,{token},pos\n"), "pos")
+        assert ds.gold.tolist() == ["pos", token]
+        assert ds.teams["t"].tolist() == [token, "pos"]
+        assert ds.positive_mask.tolist() == [[True, False], [False, True]]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(MissingColumn):
             load(write_csv(tmp_path, ""), "pos")
@@ -148,12 +155,16 @@ class TestWrite:
         assert out.read_bytes() == GOOD.replace("\n", "\r\n").encode("utf-8")
 
 
-# NUL is left out: numpy's fixed-width str dtype drops trailing NULs.
 SPECIAL = st.sampled_from([",", '"', "\r", "\n", " ", "é", "€", "\ufeff", "好"])
 TOKEN = st.text(
-    st.one_of(SPECIAL, st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    st.one_of(SPECIAL, st.characters(blacklist_categories=("Cs",))),
     min_size=1, max_size=6,
 )
+
+
+def tokens(values):
+    """An object array of str, as ``load`` builds: a ``<U`` array would drop trailing NULs."""
+    return np.array(values, dtype=object)
 
 
 @st.composite
@@ -162,8 +173,8 @@ def datasets(draw):
     ids = draw(st.lists(TOKEN, min_size=n, max_size=n, unique=True))
     gold = draw(st.lists(TOKEN, min_size=n, max_size=n))
     names = draw(st.lists(TOKEN, min_size=1, max_size=3, unique=True))
-    teams = {t: np.asarray(draw(st.lists(TOKEN, min_size=n, max_size=n))) for t in names}
-    return cj.LabeledDataset(tuple(ids), np.asarray(gold), teams, gold[0])
+    teams = {t: tokens(draw(st.lists(TOKEN, min_size=n, max_size=n))) for t in names}
+    return cj.LabeledDataset(tuple(ids), tokens(gold), teams, gold[0])
 
 
 @settings(max_examples=150, deadline=None,
@@ -179,6 +190,44 @@ def test_load_inverts_write(tmp_path, ds):
     for t in ds.teams:
         assert again.teams[t].tolist() == ds.teams[t].tolist()
     assert again.positive == ds.positive
+
+
+LABEL = st.sampled_from(["p", "n", "p\x00", "\x00", "P", "é"])
+
+
+@st.composite
+def label_columns(draw):
+    n = draw(st.integers(1, 8))
+    gold = draw(st.lists(LABEL, min_size=n, max_size=n))
+    teams = {
+        f"t{j}": draw(st.lists(LABEL, min_size=n, max_size=n))
+        for j in range(draw(st.integers(1, 3)))
+    }
+    return gold, teams, draw(st.sampled_from(gold))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(label_columns(), st.sampled_from(["list", "unicode", "load"]))
+def test_positive_mask_matches_string_comparison(tmp_path, columns, build):
+    gold, teams, positive = columns
+    ids = tuple(map(str, range(len(gold))))
+    if build == "unicode":  # fixed width: "p\x00" is stored as "p", "\x00" as ""
+        ds = cj.LabeledDataset(
+            ids, np.asarray(gold), {t: np.asarray(c) for t, c in teams.items()}, positive
+        )
+    else:
+        ds = cj.LabeledDataset(ids, gold, teams, positive)
+    if build == "load":
+        write(ds, tmp_path / "m.csv")
+        ds = load(tmp_path / "m.csv", positive)
+    expected = [[tok == positive for tok in col] for col in (ds.gold, *ds.teams.values())]
+    assert ds.positive_mask.T.tolist() == expected
+    assert ds.positive_mask is ds.positive_mask
+    points = cj.point_estimates(ds)
+    for team, pred in ds.teams.items():
+        c = cj.confusion(ds.gold, pred, positive)
+        assert points[team] == {m: cj.score(c, m) for m in cj.ALL_METRICS}
 
 
 spec_strategy = st.builds(
@@ -222,6 +271,21 @@ class TestReconstruct:
             c = cj.confusion(ds.gold, ds.teams[team], ds.positive)
             assert (c.tp, c.fp) == (tp, fp)
             assert c.n == spec.n_pos + spec.n_neg
+
+    def test_nul_positive_label_round_trips(self, tmp_path):
+        ds = reconstruct(ReconstructionSpec(3, 2, {"t": (2, 1)}), seed=1, positive="p\x00")
+        assert ds.gold.tolist() == ["p\x00"] * 3 + ["non-offensive"] * 2
+        path = tmp_path / "r.csv"
+        write(ds, path)
+        again = load(path, "p\x00")
+        assert again.ids == ds.ids
+        assert again.gold.tolist() == ds.gold.tolist()
+        assert {t: c.tolist() for t, c in again.teams.items()} == {
+            t: c.tolist() for t, c in ds.teams.items()
+        }
+        assert again.positive == ds.positive == "p\x00"
+        c = cj.confusion(again.gold, again.teams["t"], again.positive)
+        assert (c.tp, c.fp) == (2, 1)
 
     def test_spec_json_roundtrip(self, tmp_path):
         spec = offendmex.reconstruction_spec()

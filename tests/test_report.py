@@ -9,7 +9,7 @@ import pytest
 import challenge_judge as cj
 from challenge_judge.metrics import MetricKind
 from challenge_judge.pipeline import RunConfig, analyze
-from challenge_judge.report import emit_tables, half_up, to_dict
+from challenge_judge.report import _tex_escape, emit_tables, half_up, to_dict
 from challenge_judge.svgfig import (
     emit_all_figures,
     emit_difference_plot,
@@ -139,6 +139,25 @@ class TestTables:
         for name, rows in tables.items():
             assert {len(row) for row in rows} == {len(rows[0])}, name
         assert {row[0] for row in tables["table1.csv"][1:]} == set(spec.teams)
+
+    def test_team_names_are_escaped_in_latex(self, tmp_path):
+        spec = cj.ReconstructionSpec(40, 60, {"team_1&co": (30, 10), "50%~x": (25, 20)})
+        report = analyze(cj.reconstruct(spec, seed=4),
+                         RunConfig(positive="offensive", b=150, seed=3))
+        emit_tables(report, tmp_path)
+        texts = {p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("*.tex")}
+        escaped = ("team\\_1\\&co", "50\\%\\textasciitilde{}x")
+        for name, text in texts.items():
+            assert "team_1" not in text and "50%" not in text, name
+        # table4: one team heads the column, the other labels the row
+        for name in ("table1.tex", "table2_f1.tex", "table4_f1.tex"):
+            assert all(texts[name].count(e) == 1 for e in escaped), name
+        assert sum(texts["table3_f1.tex"].count(e) for e in escaped) == 1
+
+    def test_latex_escape_covers_every_special_character(self):
+        assert _tex_escape("\\&%$#_{}~^a") == (
+            r"\textbackslash{}\&\%\$\#\_\{\}\textasciitilde{}\textasciicircum{}a"
+        )
 
     def test_emission_is_deterministic(self, small_report, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
