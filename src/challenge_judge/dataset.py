@@ -83,9 +83,9 @@ class LabeledDataset:
     def positive_mask(self) -> np.ndarray:
         """(n, K+1) bool: which gold, then each team's, labels are positive.
 
-        Tokens are compared as ``str`` objects, exactly. The columns are
-        stacked first so that one comparison walks the tokens row by row,
-        the order ``load`` lays them out in.
+        Tokens are compared as ``str`` objects, exactly. ``load`` sets the
+        mask from its cell array; for a dataset built directly, the columns
+        are stacked first so that one comparison walks the tokens row by row.
         """
         columns = [np.asarray(c, dtype=object) for c in (self.gold, *self.teams.values())]
         return is_positive(np.column_stack(columns), self.positive)
@@ -107,7 +107,9 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
                 raise DuplicateId(f"{path}: duplicate team column names")
             rows: list[list[str]] = []
             seen: set[str] = set()
-            for lineno, row in enumerate(reader, start=2):
+            start = reader.line_num + 1  # a quoted cell can span lines
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if len(row) != len(header):
                     raise LengthMismatch(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -123,12 +125,15 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
         except UnicodeDecodeError as exc:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
     cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
-    if not is_positive(cells[:, 1], positive).any():
+    mask = is_positive(cells[:, 1:], positive)
+    if not mask[:, 0].any():
         raise UnknownPositiveLabel(
             f"{path}: positive label {positive!r} never occurs in the gold column"
         )
     teams = {t: cells[:, j] for j, t in enumerate(team_names, start=2)}
-    return LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
+    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
+    ds.__dict__["positive_mask"] = mask  # seeds the cached property; no copy of the cells
+    return ds
 
 
 def write(ds: LabeledDataset, path: str | Path) -> None:

@@ -4,8 +4,9 @@ Every replicate row is drawn from its own counter-based stream keyed by
 (seed, row), so any row can be regenerated in isolation and the result
 does not depend on how rows are grouped. All teams are evaluated on the
 same index rows, which is what makes per-replicate score differences
-meaningful. Rows are generated and counted in fixed blocks, so memory
-does not grow with b*n.
+meaningful. Rows are generated in cache-sized passes, and each pass is
+counted by one ``bincount`` into a reused block buffer, so memory does not
+grow with b*n.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ SEED_LIMIT = 2**64  # a seed is one Philox key word: an integer in [0, 2**64)
 class ResamplePlan:
     """B rows of n with-replacement indices shared by every team.
 
-    The plan stores only (n, b, seed); ``blocks`` regenerates the rows.
+    The plan stores only (n, b, seed); ``_passes`` regenerates the rows.
     """
 
     n: int
@@ -40,6 +41,22 @@ class ResamplePlan:
         """Index rows in order, as (rows, n) int32 blocks of BLOCK_ROWS rows.
 
         Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``
+        bit for bit, and the last block holds the remaining ``b % BLOCK_ROWS``
+        rows, if any. Blocks are copied from the passes of ``_passes``;
+        ``distributions`` counts those passes directly.
+        """
+        for first, idx in self._passes():
+            lo = first % BLOCK_ROWS
+            if lo == 0:
+                block = np.empty((min(BLOCK_ROWS, self.b - first), self.n), dtype=np.int32)
+            block[lo : lo + len(idx)] = idx
+            if lo + len(idx) == len(block):
+                yield block
+
+    def _passes(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(first_row, idx)``: rows first_row, first_row + 1, ... as int64.
+
+        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``
         with a uint64 key (a plain list sends seeds >= 2**63 through float64),
         bit for bit. One Philox instance is re-keyed per row and fills the
         row's ceil(n/2) raw 64-bit words at once; each word holds two 32-bit
@@ -47,6 +64,12 @@ class ResamplePlan:
         ``_lemire`` maps to [0, n). A row holding a draw that numpy would
         reject and redraw (rare unless n is large) is regenerated by numpy's
         own call.
+
+        A pass holds the largest power of two rows, at most BLOCK_ROWS, whose
+        draws fit in REDUCE_DRAWS (at least one row), so passes tile the
+        BLOCK_ROWS-row blocks exactly. ``idx`` is one reused buffer: the
+        caller may change it in place but must be done with it before
+        asking for the next pass.
         """
         n = self.n
         bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
@@ -54,29 +77,22 @@ class ResamplePlan:
         fresh = bitgen.state
         key = fresh["state"]["key"]
         words = (n + 1) // 2
-        step = max(1, min(BLOCK_ROWS, REDUCE_DRAWS // n))
+        step = 1 << (max(1, min(BLOCK_ROWS, REDUCE_DRAWS // n)).bit_length() - 1)
         raw = np.empty((step, words), dtype="<u8")  # little-endian: low half first
         product = np.empty((step, n), dtype="<u8")
-
-        def fill(rows: np.ndarray, first: int) -> None:
-            """Write index rows first, first + 1, ... into ``rows``."""
-            for i in range(len(rows)):
+        for first in range(0, self.b, step):
+            rows = min(step, self.b - first)
+            for i in range(rows):
                 key[1] = first + i
                 bitgen.state = fresh
                 raw[i] = bitgen.random_raw(words)
-            draws = raw[: len(rows)].view("<u4")[:, :n]
-            indices, rejected = _lemire(draws, n, product[: len(rows)])
-            rows[:] = indices
+            draws = raw[:rows].view("<u4")[:, :n]
+            idx, rejected = _lemire(draws, n, product[:rows])
             for i in np.flatnonzero(rejected):
                 key[1] = first + i
                 bitgen.state = fresh
-                rows[i] = gen.integers(0, n, size=n, dtype=np.int32)
-
-        for start in range(0, self.b, BLOCK_ROWS):
-            block = np.empty((min(BLOCK_ROWS, self.b - start), n), dtype=np.int32)
-            for lo in range(0, len(block), step):
-                fill(block[lo : lo + step], start + lo)
-            yield block
+                idx[i] = gen.integers(0, n, size=n, dtype=np.int32)
+            yield first, idx
 
 
 def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +101,13 @@ def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray,
     Returns the high halves of the 64-bit products ``draws * n`` (the
     indices) and, per row, whether numpy would have rejected a draw there:
     a low half below ``(2**32 - n) % n``. ``product`` is a little-endian
-    uint64 buffer of the draws' shape.
+    uint64 buffer of the draws' shape; it is shifted in place and the
+    indices are its int64 view.
     """
-    halves = np.multiply(draws, np.uint64(n), out=product).view("<u4")
-    return halves[:, 1::2], halves[:, ::2].min(axis=1) < (2**32 - n) % n
+    np.multiply(draws, np.uint64(n), out=product)
+    rejected = product.view("<u4")[:, ::2].min(axis=1) < (2**32 - n) % n
+    product >>= np.uint64(32)
+    return product.view(np.int64), rejected
 
 
 @dataclass(frozen=True)
@@ -125,12 +144,14 @@ def distributions(
 ) -> dict[str, dict[MetricKind, ScoreDistribution]]:
     """All teams' distributions for the given metrics, sharing one plan.
 
-    Each block of rows becomes a (rows, n) multiplicity matrix W, and
-    ``W @ A`` gives every team's counts at once, where A holds 2K+1 0/1
-    indicator columns: each team's tp, each team's predicted positives,
-    and the gold positives; then fp = pp - tp and fn = gp - tp. The
-    product runs in float32 (float64 once n > 2**24, see ``_count_dtype``)
-    and is exact because every partial sum is an integer <= n.
+    Each pass of rows is counted by one ``bincount`` of its indices, offset
+    by n per row, into a reused (BLOCK_ROWS, n) multiplicity matrix W. Once
+    a block of BLOCK_ROWS rows (or the last, shorter one) is complete,
+    ``W @ A`` writes every team's counts for it at once, where A holds 2K+1
+    0/1 indicator columns: each team's tp, each team's predicted positives,
+    and the gold positives; then fp = pp - tp and fn = gp - tp. The product
+    runs in float32 (float64 once n > 2**24, see ``_count_dtype``) and is
+    exact because every partial sum is an integer <= n.
 
     ``threads`` is validated and otherwise ignored; results and speed do
     not depend on it.
@@ -142,18 +163,7 @@ def distributions(
     metrics = tuple(metrics)
     names = list(ds.teams)
     k = len(names)
-    dtype = _count_dtype(plan.n)
-    g, p = ds.positive_mask[:, 0], ds.positive_mask[:, 1:]
-    # columns: every team's tp indicator, then every predicted positive, then gold
-    indicators = np.column_stack([g[:, None] & p, p, g]).astype(dtype)
-
-    def block_counts(block: np.ndarray) -> np.ndarray:
-        rows = len(block)
-        flat = (block + np.arange(rows, dtype=np.int64)[:, None] * plan.n).ravel()
-        w = np.bincount(flat, minlength=rows * plan.n).reshape(rows, plan.n)
-        return w.astype(dtype) @ indicators
-
-    counts = np.vstack([block_counts(block) for block in plan.blocks()]).astype(np.int64)
+    counts = _counts(plan, ds.positive_mask)
     tp, pp, gp = counts[:, :k], counts[:, k : 2 * k], counts[:, 2 * k :]
     fp, fn = pp - tp, gp - tp
     out: dict[str, dict[MetricKind, ScoreDistribution]] = {}
@@ -163,6 +173,30 @@ def distributions(
             values, defined = metric_values(tp[:, j], fp[:, j], fn[:, j], m)
             out[team][m] = ScoreDistribution(m, values, int(np.sum(~defined)))
     return out
+
+
+def _counts(plan: ResamplePlan, mask: np.ndarray) -> np.ndarray:
+    """The (b, 2K+1) int64 counts that ``distributions`` describes.
+
+    ``mask`` is the dataset's (n, K+1) gold-then-teams ``positive_mask``.
+    """
+    n = plan.n
+    dtype = _count_dtype(n)
+    g, p = mask[:, 0], mask[:, 1:]
+    # columns: every team's tp indicator, then every predicted positive, then gold
+    indicators = np.column_stack([g[:, None] & p, p, g]).astype(dtype)
+    offsets = np.arange(BLOCK_ROWS, dtype=np.int64)[:, None] * n
+    w = np.empty((BLOCK_ROWS, n), dtype=dtype)
+    counts = np.empty((plan.b, indicators.shape[1]), dtype=dtype)
+    for first, idx in plan._passes():
+        rows = len(idx)
+        lo = first % BLOCK_ROWS
+        hi = lo + rows
+        idx += offsets[:rows]
+        w[lo:hi] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        if hi == BLOCK_ROWS or first + rows == plan.b:
+            np.matmul(w[:hi], indicators, out=counts[first - lo : first + rows])
+    return counts.astype(np.int64)
 
 
 def _count_dtype(n: int) -> type:

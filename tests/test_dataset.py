@@ -84,6 +84,20 @@ class TestLoad:
             load(path, "pos")
         assert str(err.value) == f"{path}:3: duplicate id '1'"
 
+    @pytest.mark.parametrize("last, error, message", [
+        ("1,pos,pos", DuplicateId, "{path}:5: duplicate id '1'"),
+        ("2,pos", LengthMismatch, "{path}:5: expected 3 fields, got 2"),
+        ("2,pos,", EmptyCell, "empty cell at {path}:5 (t)"),
+    ])
+    def test_messages_name_the_physical_line_after_a_multiline_cell(
+        self, tmp_path, last, error, message
+    ):
+        # the first record spans lines 2-3, so the third record is on line 5
+        path = write_csv(tmp_path, f'id,gold,t\n"po\ns",pos,pos\n1,neg,neg\n{last}\n')
+        with pytest.raises(error) as err:
+            load(path, "pos")
+        assert str(err.value) == message.format(path=path)
+
     def test_quoted_tokens_with_commas_and_quotes(self, tmp_path):
         text = 'id,gold,"team, one"\n"a,1","pos","say ""hi"""\n'
         ds = load(write_csv(tmp_path, text), "pos")

@@ -98,8 +98,9 @@ class TestMakePlan:
         assert got[:, 0].tolist() == [u * n >> 32 for u in draws]
         assert rejected.tolist() == [u * n % 2**32 < threshold for u in draws]
 
-    def test_blocks_are_fixed_size_with_a_partial_tail(self):
-        plan = make_plan(20, MULTI_BLOCK_B, seed=5)
+    @pytest.mark.parametrize("n", [20, 2183])  # 64 and 16 rows per generation pass
+    def test_blocks_are_fixed_size_with_a_partial_tail(self, n):
+        plan = make_plan(n, MULTI_BLOCK_B, seed=5)
         assert [len(block) for block in plan.blocks()] == [BLOCK_ROWS, BLOCK_ROWS, 5]
 
     def test_indices_in_range(self):
@@ -222,23 +223,26 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distributions(toy_ds, plan, threads=0)
 
-    def test_matches_per_team_gather_reference(self):
+    @pytest.mark.parametrize("n, pass_rows", [
+        (37, 64), (1025, 32), (2183, 16), (20001, 2), (65537, 1),
+    ])
+    def test_matches_per_team_gather_reference(self, n, pass_rows):
         # reference: gather each team's tp/fp/fn category codes through the
-        # full index matrix and count them row by row
+        # full index matrix and count them row by row, for every pass size
         # "never" predicts no positive (tp = pp = 0, so precision and F1 are
         # degenerate in every row) and "always" predicts all (tp = gp, fn = 0)
         rng = np.random.default_rng(12)
-        n = 37
         gold = rng.choice(["p", "n"], size=n)
         teams = {f"t{i}": rng.choice(["p", "n"], size=n) for i in range(4)}
         teams["never"] = np.full(n, "n")
         teams["always"] = np.full(n, "p")
         ds = cj.LabeledDataset(tuple(map(str, range(n))), gold, teams, "p")
         plan = make_plan(n, MULTI_BLOCK_B, seed=6)
+        assert len(next(plan._passes())[1]) == pass_rows
         dists = distributions(ds, plan)
         rows = np.stack([oracle_row(6, r, n) for r in range(MULTI_BLOCK_B)])
         for team, pred in teams.items():
-            cat = (2 * (gold == "p") + (pred == "p"))[rows]
+            cat = (2 * (gold == "p") + (pred == "p")).astype(np.int8)[rows]
             tp, fn, fp = ((cat == c).sum(axis=1) for c in (3, 2, 1))
             for m in cj.ALL_METRICS:
                 values, defined = metric_values(tp, fp, fn, m)
@@ -262,6 +266,25 @@ class TestDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_memory_stays_bounded_on_the_wide_shape(self):
+        # the bench wide shape over two blocks and a partial one: one pass of
+        # indices, one reused 64 x n W and the 2K+1 indicator columns, with
+        # no per-block copies of W or of the indices
+        rng = np.random.default_rng(3)
+        n, labels = 20_000, np.array(["p", "n"], dtype=object)
+        teams = {f"t{i:02d}": rng.choice(labels, size=n) for i in range(50)}
+        ds = cj.LabeledDataset(
+            tuple(map(str, range(n))), rng.choice(labels, size=n), teams, "p"
+        )
+        plan = make_plan(n, MULTI_BLOCK_B, seed=42)
+        tracemalloc.start()
+        try:
+            distributions(ds, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestPairedDifference:
