@@ -22,7 +22,6 @@ from .inference import (
     StarMatrix,
     differences_from_best,
     ordered_intervals,
-    overlap,
     p_value,
     percentile_ci,
     star_matrix,
@@ -77,7 +76,6 @@ __all__ = [
     "load",
     "make_plan",
     "ordered_intervals",
-    "overlap",
     "p_value",
     "paired_difference",
     "percentile_ci",

@@ -127,11 +127,6 @@ def ordered_intervals(
     ]
 
 
-def overlap(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
-    """Whether two closed intervals share at least one point."""
-    return max(a.lower, b.lower) <= min(a.upper, b.upper)
-
-
 def differences_from_best(
     dists: Mapping[str, ScoreDistribution],
     points: Mapping[str, float],

@@ -37,22 +37,6 @@ class ResamplePlan:
     b: int
     seed: int
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Index rows in order, as (rows, n) int32 blocks of BLOCK_ROWS rows.
-
-        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``
-        bit for bit, and the last block holds the remaining ``b % BLOCK_ROWS``
-        rows, if any. Blocks are copied from the passes of ``_passes``;
-        ``distributions`` counts those passes directly.
-        """
-        for first, idx in self._passes():
-            lo = first % BLOCK_ROWS
-            if lo == 0:
-                block = np.empty((min(BLOCK_ROWS, self.b - first), self.n), dtype=np.int32)
-            block[lo : lo + len(idx)] = idx
-            if lo + len(idx) == len(block):
-                yield block
-
     def _passes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(first_row, idx)``: rows first_row, first_row + 1, ... as int64.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -28,6 +27,15 @@ MIN_BINS = 10
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` as XML entities, ``&`` first.
+
+    The same replacements, in the same order, as ``xml.sax.saxutils.escape``,
+    whose import would load the network modules of ``urllib.request``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class Canvas:

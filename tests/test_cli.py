@@ -199,6 +199,16 @@ class TestValidate:
         bad.write_text("id,gold,t\n1,pos,\n")
         assert main(["validate", "--input", str(bad), "--positive", "pos"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,gold,t\n", "no data rows after the header"),
+        ("id,gold,t,\n1,pos,pos,pos\n", "header column 4 has an empty team name"),
+    ])
+    def test_header_faults_exit_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["validate", "--input", str(bad), "--positive", "pos"]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
     def test_never_writes(self, small_csv, tmp_path):
         before = set(tmp_path.iterdir())
         main(["validate", "--input", str(small_csv), "--positive", "offensive"])

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,41 @@ class TestLoad:
     def test_empty_file(self, tmp_path):
         with pytest.raises(MissingColumn):
             load(write_csv(tmp_path, ""), "pos")
+
+    def test_header_without_data_rows(self, tmp_path):
+        path = write_csv(tmp_path, "id,gold,t\n")
+        with pytest.raises(LengthMismatch) as err:
+            load(path, "pos")
+        assert str(err.value) == f"{path}: no data rows after the header"
+
+    @pytest.mark.parametrize("header, column", [("id,gold,t,", 4), ("id,gold,,t", 3)])
+    def test_empty_team_name_is_named_at_the_header(self, tmp_path, header, column):
+        path = write_csv(tmp_path, f"{header}\n1,pos,pos,pos\n")
+        with pytest.raises(MissingColumn) as err:
+            load(path, "pos")
+        assert str(err.value) == f"{path}: header column {column} has an empty team name"
+
+    def test_labels_are_held_once_per_distinct_token(self, tmp_path):
+        # 4000 rows, 50 teams, two labels: one str per label cell would
+        # take the peak to about 14 MB
+        n, k = 4000, 50
+        rng = np.random.default_rng(0)
+        labels = np.array(["pos", "neg"])[rng.integers(0, 2, size=(n, k + 1))]
+        path = tmp_path / "wide.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "gold", *(f"t{j}" for j in range(k))])
+            writer.writerows([str(i), *row] for i, row in enumerate(labels.tolist()))
+        tracemalloc.start()
+        try:
+            ds = load(path, "pos")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        cells = [tok for col in (ds.gold, *ds.teams.values()) for tok in col]
+        assert sorted({id(tok): tok for tok in cells}.values()) == ["neg", "pos"]
+        assert ds.positive_mask[:, 1:].tolist() == (labels[:, 1:] == "pos").tolist()
 
     def test_load_write_roundtrip(self, tmp_path):
         ds = load(write_csv(tmp_path, GOOD), "pos")

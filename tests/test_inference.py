@@ -8,7 +8,6 @@ from challenge_judge.inference import (
     ConfidenceInterval,
     differences_from_best,
     ordered_intervals,
-    overlap,
     p_value,
     percentile_ci,
     rank_teams,
@@ -58,24 +57,6 @@ class TestPercentileCI:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             ConfidenceInterval(0.5, 0.4, 0.95, 0.45)
-
-
-class TestOverlap:
-    def test_published_f1_top_two_overlap(self):
-        a = ConfidenceInterval(0.6864, 0.7438, 0.95, 0.7154)
-        b = ConfidenceInterval(0.6739, 0.7306, 0.95, 0.7026)
-        assert overlap(a, b)
-
-    def test_disjoint(self):
-        a = ConfidenceInterval(0.0, 0.1, 0.95, 0.05)
-        b = ConfidenceInterval(0.2, 0.3, 0.95, 0.25)
-        assert not overlap(a, b)
-        assert not overlap(b, a)
-
-    def test_touching_endpoints_count_as_overlap(self):
-        a = ConfidenceInterval(0.0, 0.1, 0.95, 0.05)
-        b = ConfidenceInterval(0.1, 0.2, 0.95, 0.15)
-        assert overlap(a, b)
 
 
 class TestOrderedIntervals:

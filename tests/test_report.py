@@ -2,6 +2,7 @@ import csv
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from challenge_judge.svgfig import (
     emit_difference_plot,
     emit_histogram,
     emit_interval_plot,
+    escape,
     histogram_bins,
 )
 
@@ -229,6 +231,13 @@ class TestSvg:
         ]
         for bar in bars:
             assert bar.get("x1") == bar.get("x2")
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", "a & b", "<team>", "x > y < z", "&amp;", "&lt;&gt;",
+        "say \"hi\" & 'bye'", "équipe <ñ> & 団体", "&&<<>>",
+    ])
+    def test_escape_matches_saxutils(self, text):
+        assert escape(text) == sax_escape(text)
 
 
 class TestHistogram:

@@ -37,7 +37,8 @@ def multiply_shift_row(seed: int, row: int, n: int) -> np.ndarray:
 
 
 def indices(plan) -> np.ndarray:
-    return np.concatenate(list(plan.blocks()))
+    """Every row of ``plan`` as int32, copied out of the reused pass buffer."""
+    return np.concatenate([idx.astype(np.int32) for _, idx in plan._passes()])
 
 
 class TestMakePlan:
@@ -98,10 +99,20 @@ class TestMakePlan:
         assert got[:, 0].tolist() == [u * n >> 32 for u in draws]
         assert rejected.tolist() == [u * n % 2**32 < threshold for u in draws]
 
-    @pytest.mark.parametrize("n", [20, 2183])  # 64 and 16 rows per generation pass
-    def test_blocks_are_fixed_size_with_a_partial_tail(self, n):
+    @pytest.mark.parametrize("n, step", [(20, 64), (2183, 16)], ids=["20", "2183"])
+    def test_blocks_are_fixed_size_with_a_partial_tail(self, n, step):
+        # passes cover the rows in order, never straddle a BLOCK_ROWS-row
+        # block, and so tile two full blocks and a partial one exactly
         plan = make_plan(n, MULTI_BLOCK_B, seed=5)
-        assert [len(block) for block in plan.blocks()] == [BLOCK_ROWS, BLOCK_ROWS, 5]
+        passes = [(first, len(idx)) for first, idx in plan._passes()]
+        assert passes == [
+            (first, min(step, MULTI_BLOCK_B - first)) for first in range(0, MULTI_BLOCK_B, step)
+        ]
+        blocks = {}
+        for first, rows in passes:
+            assert first // BLOCK_ROWS == (first + rows - 1) // BLOCK_ROWS
+            blocks[first // BLOCK_ROWS] = blocks.get(first // BLOCK_ROWS, 0) + rows
+        assert list(blocks.values()) == [BLOCK_ROWS, BLOCK_ROWS, 5]
 
     def test_indices_in_range(self):
         rows = indices(make_plan(7, 500, seed=1))
