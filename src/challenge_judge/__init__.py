@@ -18,7 +18,6 @@ from .errors import ChallengeJudgeError
 from .inference import (
     ConfidenceInterval,
     DifferenceResult,
-    PValueResult,
     StarMatrix,
     differences_from_best,
     ordered_intervals,
@@ -38,13 +37,12 @@ from .metrics import (
 from .pipeline import ComparisonReport, RunConfig, analyze
 from .report import emit_tables
 from .resampling import (
-    ResamplePlan,
     ScoreDistribution,
     distributions,
     make_plan,
     paired_difference,
 )
-from .svgfig import emit_all_figures, emit_difference_plot, emit_histogram, emit_interval_plot
+from .svgfig import emit_all_figures
 
 __version__ = "0.1.0"
 
@@ -57,9 +55,7 @@ __all__ = [
     "DifferenceResult",
     "LabeledDataset",
     "MetricKind",
-    "PValueResult",
     "ReconstructionSpec",
-    "ResamplePlan",
     "RunConfig",
     "Score",
     "ScoreDistribution",
@@ -69,9 +65,6 @@ __all__ = [
     "differences_from_best",
     "distributions",
     "emit_all_figures",
-    "emit_difference_plot",
-    "emit_histogram",
-    "emit_interval_plot",
     "emit_tables",
     "load",
     "make_plan",

@@ -25,6 +25,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 
+CONFIG_KEYS = ("input", "out", "positive", "b", "seed", "level", "metrics", "pairs", "threads")
+
 
 def _parse_metrics(value) -> tuple[MetricKind, ...]:
     """Metrics from a flag string ``"f1,recall"`` or a config-file list."""
@@ -62,13 +64,20 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: command-line flag > config file > built-in default.
 
     A config-file scalar is read as its flag reads text: ``{"b": "300"}``
-    is 300, while ``{"seed": 2.7}`` or ``{"b": null}`` is a ``ConfigError``.
+    is 300, while ``{"seed": 2.7}`` or ``{"b": null}`` is a ``ConfigError``,
+    and so is a key outside ``CONFIG_KEYS``.
     """
     file_cfg = {}
     if args.config:
         file_cfg = dataset.read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
+        unknown = [key for key in file_cfg if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(
+                f"{args.config}: unknown config keys {', '.join(map(repr, unknown))};"
+                f" known keys are {', '.join(CONFIG_KEYS)}"
+            )
 
     def pick(key, kind=str, default=None):
         flag = getattr(args, key, None)
@@ -194,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChallengeJudgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ChallengeJudgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # internal failure

@@ -14,8 +14,10 @@ refers to (ids are unique and kept as read), so the labels cost one
 pointer per cell: on a 20,000-row, 50-team file the dataset holds 10 MB
 rather than 69 MB, and a 50,000-row, 50-team file loads in 74 MB of
 resident memory rather than 245 MB. Which cells hold the positive label
-is worked out once per dataset (``positive_mask``) and shared by the
-point estimates and the bootstrap.
+is worked out in one place, the cached ``positive_mask`` property, which
+fills one (n, K+1) bool array a column at a time without copying the
+cells; ``load`` checks its gold column, and the point estimates and the
+bootstrap share it.
 
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
@@ -88,12 +90,13 @@ class LabeledDataset:
     def positive_mask(self) -> np.ndarray:
         """(n, K+1) bool: which gold, then each team's, labels are positive.
 
-        Tokens are compared as ``str`` objects, exactly. ``load`` sets the
-        mask from its cell array; for a dataset built directly, the columns
-        are stacked first so that one comparison walks the tokens row by row.
+        Tokens are compared as ``str`` objects, exactly, one column at a time.
         """
-        columns = [np.asarray(c, dtype=object) for c in (self.gold, *self.teams.values())]
-        return is_positive(np.column_stack(columns), self.positive)
+        columns = (self.gold, *self.teams.values())
+        mask = np.empty((self.n, len(columns)), dtype=bool)
+        for j, col in enumerate(columns):
+            mask[:, j] = is_positive(col, self.positive)
+        return mask
 
 
 def load(path: str | Path, positive: str) -> LabeledDataset:
@@ -140,14 +143,12 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
         raise LengthMismatch(f"{path}: no data rows after the header")
     cells = np.array(flat, dtype=object).reshape(-1, len(header))
     del flat  # the array holds the references now; free the list before the mask
-    mask = is_positive(cells[:, 1:], positive)
-    if not mask[:, 0].any():
+    teams = {t: cells[:, j] for j, t in enumerate(team_names, start=2)}
+    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
+    if not ds.positive_mask[:, 0].any():
         raise UnknownPositiveLabel(
             f"{path}: positive label {positive!r} never occurs in the gold column"
         )
-    teams = {t: cells[:, j] for j, t in enumerate(team_names, start=2)}
-    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
-    ds.__dict__["positive_mask"] = mask  # seeds the cached property; no copy of the cells
     return ds
 
 

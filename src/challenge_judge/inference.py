@@ -87,17 +87,15 @@ class StarMatrix:
 
 
 def percentile_ci(
-    values: Sequence[float] | ScoreDistribution,
+    values: Sequence[float],
     level: float = DEFAULT_LEVEL,
     point: float | None = None,
 ) -> ConfidenceInterval:
-    """Percentile bootstrap interval at the given two-sided level.
+    """Percentile bootstrap interval of an array of replicate values.
 
     ``point`` is the full-dataset estimate carried along for reporting;
     it defaults to the distribution mean when not supplied.
     """
-    if isinstance(values, ScoreDistribution):
-        values = values.values
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take quantiles of an empty distribution")
@@ -122,7 +120,7 @@ def ordered_intervals(
 ) -> list[tuple[str, ConfidenceInterval]]:
     """Per-team percentile CIs sorted by full-dataset point estimate."""
     return [
-        (team, percentile_ci(dists[team], level, points[team]))
+        (team, percentile_ci(dists[team].values, level, points[team]))
         for team in rank_teams(points)
     ]
 

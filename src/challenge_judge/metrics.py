@@ -50,15 +50,6 @@ class ConfusionCounts:
             if v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.fn_ + self.tn
-
-    @property
-    def n_pos(self) -> int:
-        """Number of gold positives."""
-        return self.tp + self.fn_
-
 
 @dataclass(frozen=True)
 class Score:
@@ -66,6 +57,12 @@ class Score:
 
     value: float
     defined: bool = True
+
+
+def lead_metric(metrics: Sequence[MetricKind]) -> MetricKind:
+    """The metric that orders the leaderboard and picks the histogram pairs:
+    F1 if it is run, else the first metric run."""
+    return MetricKind.F1 if MetricKind.F1 in metrics else metrics[0]
 
 
 def is_positive(labels, positive: str) -> np.ndarray:
@@ -101,28 +98,30 @@ def confusion(gold: Sequence[str], pred: Sequence[str], positive: str) -> Confus
 
 
 def metric_values(tp, fp, fn, kind: MetricKind):
-    """Vectorized metric over parallel count arrays.
+    """Vectorized metric over parallel integer count arrays of any shape.
 
     Returns ``(values, defined)`` where undefined (0/0) entries hold 0.
     F1 is computed as 2tp / (2tp + fp + fn), which equals the harmonic
     mean of precision and recall whenever tp > 0, and is undefined for
-    tp = 0 (precision, recall, or their sum degenerates there).
+    tp = 0 (precision, recall, or their sum degenerates there). Denominators
+    are summed in the counts' own dtype, so no float copy of the counts is
+    made; F1 doubles tp / den, which is bit for bit 2tp / den.
     """
-    tp = np.asarray(tp, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    fn = np.asarray(fn, dtype=np.float64)
+    tp, fp, fn = np.asarray(tp), np.asarray(fp), np.asarray(fn)
     if kind is MetricKind.PRECISION:
-        num, den = tp, tp + fp
+        den = tp + fp
         defined = den > 0
     elif kind is MetricKind.RECALL:
-        num, den = tp, tp + fn
+        den = tp + fn
         defined = den > 0
     elif kind is MetricKind.F1:
-        num, den = 2.0 * tp, 2.0 * tp + fp + fn
+        den = tp + tp + fp + fn
         defined = tp > 0
     else:
         raise ValueError(f"unknown metric {kind!r}")
-    values = np.divide(num, den, out=np.zeros_like(num), where=defined)
+    values = np.divide(tp, den, out=np.zeros(den.shape), where=defined)
+    if kind is MetricKind.F1:
+        values *= 2
     return values, defined
 
 
@@ -141,9 +140,9 @@ def point_estimates(ds: "LabeledDataset") -> Mapping[str, Mapping[MetricKind, Sc
     tp = (g & p).sum(axis=0)
     fp = p.sum(axis=0) - tp
     fn = int(g.sum()) - tp
-    tn = ds.n - tp - fp - fn
-    out: dict[str, dict[MetricKind, Score]] = {}
-    for j, team in enumerate(ds.teams):
-        c = ConfusionCounts(int(tp[j]), int(fp[j]), int(fn[j]), int(tn[j]))
-        out[team] = {m: score(c, m) for m in ALL_METRICS}
+    out: dict[str, dict[MetricKind, Score]] = {team: {} for team in ds.teams}
+    for m in ALL_METRICS:
+        values, defined = metric_values(tp, fp, fn, m)
+        for team, v, d in zip(ds.teams, values.tolist(), defined.tolist()):
+            out[team][m] = Score(v, d)
     return out

@@ -11,6 +11,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import ConfigError, UnknownTeam
 from .inference import (
+    DEFAULT_LEVEL,
     ConfidenceInterval,
     DifferenceResult,
     StarMatrix,
@@ -20,7 +21,7 @@ from .inference import (
     rank_teams,
     star_matrix,
 )
-from .metrics import ALL_METRICS, MetricKind, Score, point_estimates
+from .metrics import ALL_METRICS, MetricKind, Score, lead_metric, point_estimates
 from .resampling import (
     DEFAULT_REPLICATES,
     SEED_LIMIT,
@@ -41,7 +42,7 @@ class RunConfig:
     positive: str = "offensive"
     b: int = DEFAULT_REPLICATES
     seed: int = 42
-    level: float = 0.95
+    level: float = DEFAULT_LEVEL
     metrics: tuple[MetricKind, ...] = ALL_METRICS
     out: Path | None = None
     pairs: tuple[tuple[str, str], ...] | None = None
@@ -62,6 +63,9 @@ class RunConfig:
             raise ConfigError("positive label must be non-empty")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for a, b in self.pairs or ():
+            if a == b:
+                raise ConfigError(f"pair {a}:{b} compares a team with itself")
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,6 @@ class ComparisonReport:
     pairs: tuple[PairAnalysis, ...]
 
 
-def default_pairs(points, metric: MetricKind) -> list[tuple[str, str]]:
-    """Best team vs runner-up and vs third, by the given metric."""
-    ranked = rank_teams({t: by_m[metric].value for t, by_m in points.items()})
-    return [(ranked[0], other) for other in ranked[1:3]]
-
-
 def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     """Run the full paired-bootstrap comparison on a validated dataset."""
     config.validate()
@@ -130,24 +128,22 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
             diffs, stars = [], None
         by_metric[m] = MetricReport(m, intervals, diffs, stars)
 
-    hist_metric = MetricKind.F1 if MetricKind.F1 in config.metrics else config.metrics[0]
+    hist_metric = lead_metric(config.metrics)
+    pts = {t: points[t][hist_metric].value for t in ds.teams}
     if config.pairs is not None:
-        pair_list = list(config.pairs)
-    elif len(ds.teams) >= 2:
-        pair_list = default_pairs(points, hist_metric)
+        pair_list = config.pairs
     else:
-        pair_list = []
+        ranked = rank_teams(pts)
+        pair_list = [(ranked[0], other) for other in ranked[1:3]]
 
     pairs = []
     hm = single_metric(dists, hist_metric)
-    for a, b in pair_list:
-        for t in (a, b):
+    for pair in pair_list:
+        for t in pair:
             if t not in ds.teams:
                 raise UnknownTeam(f"pair names unknown team {t!r}")
-        # orient so the full-dataset winner comes first
-        if points[a][hist_metric].value < points[b][hist_metric].value:
-            a, b = b, a
-        delta = points[a][hist_metric].value - points[b][hist_metric].value
+        a, b = rank_teams({t: pts[t] for t in pair})  # as the star matrix orients it
+        delta = pts[a] - pts[b]
         d = paired_difference(hm[a], hm[b])
         pv = p_value(d, delta)
         pairs.append(PairAnalysis(a, b, hist_metric, delta, pv.p, pv.b_exceed, d))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import IoFailure
 from .inference import ConfidenceInterval
-from .metrics import MetricKind
+from .metrics import lead_metric
 from .pipeline import ComparisonReport
 
 
@@ -126,12 +126,6 @@ def write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _leaderboard_order(r: ComparisonReport) -> list[str]:
-    """Teams ordered by F1 (or the first configured metric) descending."""
-    m = MetricKind.F1 if MetricKind.F1 in r.metrics else r.metrics[0]
-    return [team for team, _ in r.by_metric[m].intervals]
-
-
 def _csv_lines(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -195,11 +189,11 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
 
     put("report.json", report_json(r))
 
-    # table 1: point estimates, leaderboard order
+    # table 1: point estimates, ordered by the lead metric's intervals
     header = ["team", *(str(m) for m in r.metrics)]
     rows = [
         [team, *(half_up(r.points[team][m].value) for m in r.metrics)]
-        for team in _leaderboard_order(r)
+        for team, _ in r.by_metric[lead_metric(r.metrics)].intervals
     ]
     put("table1.csv", _csv_lines([header, *rows]))
     put("table1.tex", _tex_table(["Team", *(str(m) for m in r.metrics)], rows))

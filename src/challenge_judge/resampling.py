@@ -144,18 +144,17 @@ def distributions(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if plan.n != ds.n:
         raise PlanMismatch(f"plan is for n={plan.n} but dataset has n={ds.n}")
-    metrics = tuple(metrics)
-    names = list(ds.teams)
-    k = len(names)
+    k = len(ds.teams)
     counts = _counts(plan, ds.positive_mask)
-    tp, pp, gp = counts[:, :k], counts[:, k : 2 * k], counts[:, 2 * k :]
-    fp, fn = pp - tp, gp - tp
-    out: dict[str, dict[MetricKind, ScoreDistribution]] = {}
-    for j, team in enumerate(names):
-        out[team] = {}
-        for m in metrics:
-            values, defined = metric_values(tp[:, j], fp[:, j], fn[:, j], m)
-            out[team][m] = ScoreDistribution(m, values, int(np.sum(~defined)))
+    tp, fp, gp = counts[:, :k], counts[:, k : 2 * k], counts[:, 2 * k :]
+    fp -= tp  # predicted positives become false positives in place
+    fn = gp - tp
+    out: dict[str, dict[MetricKind, ScoreDistribution]] = {team: {} for team in ds.teams}
+    for m in metrics:
+        values, defined = metric_values(tp, fp, fn, m)
+        degenerate = (~defined).sum(axis=0).tolist()
+        for j, team in enumerate(ds.teams):
+            out[team][m] = ScoreDistribution(m, values[:, j], degenerate[j])
     return out
 
 

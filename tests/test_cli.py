@@ -71,6 +71,50 @@ class TestAnalyze:
         assert len(doc["pairs"]) == 1
         assert {doc["pairs"][0]["team_a"], doc["pairs"][0]["team_b"]} == {"mid", "tail"}
 
+    def test_self_pair_exits_2_without_output(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--pairs", "ace:mid,ace:ace") == 2
+        assert "pair ace:ace compares a team with itself" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pairs_are_oriented_as_the_star_matrix_ranks_ties(self, tmp_path):
+        # alpha and zeta tie on every metric; rank_teams puts alpha first
+        spec = ReconstructionSpec(60, 140, {"alpha": (40, 20), "zeta": (40, 20), "mid": (30, 10)})
+        csv = tmp_path / "tied.csv"
+        write(reconstruct(spec, seed=3), csv)
+        results = []
+        for pairs in ("zeta:alpha", "alpha:zeta"):
+            out = tmp_path / pairs.replace(":", "_")
+            assert main([
+                "analyze", "--input", str(csv), "--positive", "offensive", "--out", str(out),
+                "--b", "500", "--seed", "1", "--pairs", pairs,
+            ]) == 0
+            doc = json.loads((out / "report.json").read_text())
+            (pair,) = doc["pairs"]
+            cells = doc["metrics"]["f1"]["star_matrix"]["cells"]
+            (cell,) = [c for c in cells if (c["row"], c["col"]) == ("zeta", "alpha")]
+            assert (pair["team_a"], pair["team_b"]) == ("alpha", "zeta")
+            assert pair["p"] == cell["p"]
+            assert (out / "fig3_alpha_vs_zeta.svg").exists()
+            results.append(pair)
+        assert results[0] == results[1]
+
+    def test_lead_metric_without_f1_is_the_first_metric(self, tmp_path):
+        # precision ranks d, b, c, a; recall ranks a, c, b, d
+        spec = ReconstructionSpec(
+            100, 200, {"a": (90, 80), "b": (50, 5), "c": (70, 30), "d": (30, 1)}
+        )
+        csv = tmp_path / "lead.csv"
+        write(reconstruct(spec, seed=2), csv)
+        out = tmp_path / "o"
+        assert run_analyze(csv, out, "--metrics", "precision,recall") == 0
+        table1 = (out / "table1.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table1] == ["team", "d", "b", "c", "a"]
+        doc = json.loads((out / "report.json").read_text())
+        assert [(p["team_a"], p["team_b"], p["metric"]) for p in doc["pairs"]] == [
+            ("d", "b", "precision"), ("d", "c", "precision"),
+        ]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_philox_key_range_exits_2(self, small_csv, tmp_path, capsys, seed):
         out = tmp_path / "o"
@@ -164,6 +208,29 @@ class TestConfigPrecedence:
             "--b", "300", "--seed", "7", "--level", "0.9", "--threads", "2",
         ]))
         assert from_file == from_flags
+
+    def test_unknown_config_keys_exit_2(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": 7, "metric": "f1", "b": 200}))
+        out = tmp_path / "o"
+        code = main([
+            "analyze", "--input", str(small_csv), "--positive", "offensive",
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{cfg}: unknown config keys 'seeds', 'metric'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_accepts_every_config_key(self, small_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": str(small_csv), "out": str(tmp_path / "o"), "positive": "offensive",
+            "b": 200, "seed": 1, "level": 0.9, "metrics": ["f1"], "pairs": [["ace", "mid"]],
+            "threads": 2,
+        }))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({"input": str(small_csv), "positive": "offensive", "x": 1}))
+        assert main(["validate", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("doc", [3, [1, 2], "b"])
     def test_config_file_must_be_an_object(self, small_csv, tmp_path, doc):

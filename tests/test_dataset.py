@@ -280,6 +280,25 @@ def test_positive_mask_matches_string_comparison(tmp_path, columns, build):
         assert points[team] == {m: cj.score(c, m) for m in cj.ALL_METRICS}
 
 
+def test_positive_mask_of_a_built_dataset_copies_no_cells():
+    # 4000 rows, 50 teams: the bool mask itself is 0.2 MB, while stacking
+    # object copies of the columns first would take the peak to about 1.8 MB
+    n, k = 4000, 50
+    rng = np.random.default_rng(1)
+    labels = np.array(["pos", "neg"], dtype=object)[rng.integers(0, 2, size=(k + 1, n))]
+    ds = cj.LabeledDataset(
+        tuple(map(str, range(n))), labels[0], {f"t{j}": labels[j + 1] for j in range(k)}, "pos"
+    )
+    tracemalloc.start()
+    try:
+        mask = ds.positive_mask
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, f"peak {peak / 2**20:.2f} MB"
+    assert mask.T.tolist() == (labels == "pos").tolist()
+
+
 spec_strategy = st.builds(
     lambda n_pos, n_neg, teams: ReconstructionSpec(
         n_pos,
@@ -320,7 +339,7 @@ class TestReconstruct:
         for team, (tp, fp) in spec.teams.items():
             c = cj.confusion(ds.gold, ds.teams[team], ds.positive)
             assert (c.tp, c.fp) == (tp, fp)
-            assert c.n == spec.n_pos + spec.n_neg
+            assert c.tp + c.fp + c.fn_ + c.tn == spec.n_pos + spec.n_neg
 
     def test_nul_positive_label_round_trips(self, tmp_path):
         ds = reconstruct(ReconstructionSpec(3, 2, {"t": (2, 1)}), seed=1, positive="p\x00")
@@ -372,7 +391,7 @@ class TestReconstruct:
             ds = reconstruct(spec, seed=seed)
             plan = make_plan(ds.n, 4000, seed=5)
             d = distributions(ds, plan, (MetricKind.F1,))["t"][MetricKind.F1]
-            ci = percentile_ci(d, 0.95)
+            ci = percentile_ci(d.values, 0.95)
             endpoints.append((ci.lower, ci.upper))
         (lo1, hi1), (lo2, hi2) = endpoints
         assert lo1 == pytest.approx(lo2, abs=0.02)

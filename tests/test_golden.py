@@ -6,7 +6,9 @@ the CLI; every output file must hash to the digest stored in
 field instead, because its ``input`` field echoes the caller's path.
 
 When an output change is intended, say why in CHANGES.md and regenerate
-the digests with ``PYTHONPATH=src python tests/test_golden.py``.
+the digests with ``PYTHONPATH=src python tests/test_golden.py``, which
+prints each case and file whose digest changed, appeared or vanished
+before it writes.
 """
 
 import hashlib
@@ -58,6 +60,24 @@ def digests(out: Path) -> dict[str, str]:
     return {p.name: sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per case and file whose digest changed, appeared or vanished."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        before = old.get(name, {}).get("files", {})
+        after = new.get(name, {}).get("files", {})
+        if old.get(name, {}).get("manifest") != new.get(name, {}).get("manifest"):
+            lines.append(f"{name}: manifest.json changed")
+        for file in sorted(before.keys() | after.keys()):
+            if file not in after:
+                lines.append(f"{name}: {file} vanished")
+            elif file not in before:
+                lines.append(f"{name}: {file} appeared")
+            elif before[file] != after[file]:
+                lines.append(f"{name}: {file} changed")
+    return lines
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_analyze_output_matches_golden_digests(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())[name]
@@ -81,5 +101,7 @@ if __name__ == "__main__":
                 "manifest": manifest,
                 "files": digests(out),
             }
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    print("\n".join(moved(old, doc)) or "no digest moved")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

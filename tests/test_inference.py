@@ -27,19 +27,19 @@ def dist(values, metric=F1):
 
 class TestPercentileCI:
     def test_constant_distribution(self):
-        ci = percentile_ci(dist([0.4] * 50), 0.95)
+        ci = percentile_ci(dist([0.4] * 50).values, 0.95)
         assert (ci.lower, ci.upper) == (0.4, 0.4)
 
     def test_linear_interpolation_rule(self):
         # values 0.01..1.00; at level 0.90 the 5% quantile sits at
         # order-statistic position 99*0.05 = 4.95, i.e. 0.05 + 0.95*0.01
         values = np.arange(1, 101) / 100.0
-        ci = percentile_ci(dist(values), 0.90)
+        ci = percentile_ci(dist(values).values, 0.90)
         assert ci.lower == pytest.approx(0.0595, abs=1e-12)
         assert ci.upper == pytest.approx(0.9505, abs=1e-12)
 
     def test_point_passthrough(self):
-        ci = percentile_ci(dist([0.1, 0.2, 0.3]), 0.95, point=0.25)
+        ci = percentile_ci(dist([0.1, 0.2, 0.3]).values, 0.95, point=0.25)
         assert ci.point == 0.25
 
     def test_shift_equivariance(self):
@@ -52,7 +52,7 @@ class TestPercentileCI:
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
-            percentile_ci(dist([0.1]), 1.0)
+            percentile_ci(dist([0.1]).values, 1.0)
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):

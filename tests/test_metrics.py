@@ -5,7 +5,14 @@ from hypothesis import given, strategies as st
 import challenge_judge as cj
 from challenge_judge import offendmex
 from challenge_judge.errors import LengthMismatch
-from challenge_judge.metrics import ALL_METRICS, ConfusionCounts, MetricKind, confusion, score
+from challenge_judge.metrics import (
+    ALL_METRICS,
+    ConfusionCounts,
+    MetricKind,
+    confusion,
+    metric_values,
+    score,
+)
 
 P, R, F1 = MetricKind.PRECISION, MetricKind.RECALL, MetricKind.F1
 
@@ -31,8 +38,8 @@ class TestConfusion:
         # tp = round(0.7100 * 600), tp + fp = round(tp / 0.7208)
         c = confusion(offendmex_ds.gold, offendmex_ds.teams["NLPCIC"], "offensive")
         assert (c.tp, c.fp, c.fn_, c.tn) == (426, 165, 174, 1417)
-        assert c.n == 2182
-        assert c.n_pos == 600
+        assert c.tp + c.fp + c.fn_ + c.tn == 2182
+        assert c.tp + c.fn_ == 600
 
     def test_identical_vectors_have_no_errors(self):
         rng = np.random.default_rng(0)
@@ -104,6 +111,21 @@ class TestProperties:
         assert score(fwd, P) == score(rev, R)
         assert score(fwd, R) == score(rev, P)
         assert score(fwd, F1) == score(rev, F1)
+
+    def test_values_equal_one_float_division_of_the_counts(self):
+        # every (tp, fp, fn) in [0, 100]^3, as (b, K) int64 blocks
+        tp, fp, fn = (a.reshape(-1, 101) for a in np.mgrid[0:101, 0:101, 0:101])
+        f = tp.astype(np.float64), fp.astype(np.float64), fn.astype(np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = {
+                P: f[0] / (f[0] + f[1]), R: f[0] / (f[0] + f[2]),
+                F1: 2.0 * f[0] / (2.0 * f[0] + f[1] + f[2]),
+            }
+        for m in ALL_METRICS:
+            values, defined = metric_values(tp, fp, fn, m)
+            assert values.shape == tp.shape
+            assert np.array_equal(values[defined], expected[m][defined])
+            assert not values[~defined].any()
 
     @given(counts_strategy)
     def test_values_in_unit_interval(self, counts):
