@@ -1,6 +1,6 @@
 """``analyze`` output bytes pinned by SHA-256 across commits.
 
-Three inputs are rebuilt from seeded reconstructions and analyzed through
+Four inputs are rebuilt from seeded reconstructions and analyzed through
 the CLI; every output file must hash to the digest stored in
 ``golden/analyze_sha256.json``. ``manifest.json`` is checked field by
 field instead, because its ``input`` field echoes the caller's path.
@@ -37,6 +37,17 @@ CASES = {
     "twelve_teams": (
         TWELVE, 11,
         ["--b", "1000", "--seed", "5", "--metrics", "recall,f1", "--pairs", "t3:t5,t0:t11"],
+    ),
+    # CSV quoting, LaTeX specials, a dagger in a name, a precision tie between
+    # "a,b" and "x&y_z", no F1 to lead, and a non-default level
+    "escaped_tied": (
+        ReconstructionSpec(
+            60, 140,
+            {"a,b": (40, 20), "x&y_z": (40, 20), "50%~^": (30, 10), "é†{}": (25, 30),
+             'q"t': (45, 35)},
+        ),
+        3,
+        ["--b", "500", "--seed", "1", "--metrics", "precision,recall", "--level", "0.9"],
     ),
 }
 
