@@ -63,9 +63,13 @@ class RunConfig:
             raise ConfigError("positive label must be non-empty")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        seen = set()
         for a, b in self.pairs or ():
             if a == b:
                 raise ConfigError(f"pair {a}:{b} compares a team with itself")
+            if frozenset((a, b)) in seen:  # analyze orients every pair
+                raise ConfigError(f"pair {a}:{b} repeats an earlier pair")
+            seen.add(frozenset((a, b)))
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,10 @@ class ComparisonReport:
 def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     """Run the full paired-bootstrap comparison on a validated dataset."""
     config.validate()
+    for pair in config.pairs or ():
+        for t in pair:
+            if t not in ds.teams:
+                raise UnknownTeam(f"pair names unknown team {t!r}")
     points = point_estimates(ds)
     plan = make_plan(ds.n, config.b, config.seed)
     dists = distributions(ds, plan, config.metrics, threads=config.threads)
@@ -139,9 +147,6 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     pairs = []
     hm = single_metric(dists, hist_metric)
     for pair in pair_list:
-        for t in pair:
-            if t not in ds.teams:
-                raise UnknownTeam(f"pair names unknown team {t!r}")
         a, b = rank_teams({t: pts[t] for t in pair})  # as the star matrix orients it
         delta = pts[a] - pts[b]
         d = paired_difference(hm[a], hm[b])

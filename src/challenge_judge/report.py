@@ -3,7 +3,8 @@
 report.json is the single source of truth. Every real number is stored at
 full precision together with a 4-decimal half-up display string; the CSV
 and LaTeX files (and the SVG figures) are views derived from the same
-report object.
+report object. Each table's rows are built once and written by one writer
+as both ``<stem>.csv`` and ``<stem>.tex``.
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ def to_dict(r: ComparisonReport) -> dict:
     }
 
 
-def report_json(r: ComparisonReport) -> str:
-    return json.dumps(to_dict(r), indent=2, ensure_ascii=False) + "\n"
-
-
 def write_text(path: Path, text: str) -> Path:
     """Write one UTF-8 output file, mapping OS errors to IoFailure."""
     try:
@@ -182,75 +179,51 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
-    written: list[Path] = []
+    text = json.dumps(to_dict(r), indent=2, ensure_ascii=False) + "\n"
+    written = [write_text(out / "report.json", text)]
 
-    def put(name: str, text: str) -> None:
-        written.append(write_text(out / name, text))
-
-    put("report.json", report_json(r))
+    def table(stem: str, csv_rows: list[list[str]], tex_header: list[str],
+              tex_rows: list[list[str]], note: str | None = None) -> None:
+        written.append(write_text(out / f"{stem}.csv", _csv_lines(csv_rows)))
+        written.append(write_text(out / f"{stem}.tex", _tex_table(tex_header, tex_rows, note)))
 
     # table 1: point estimates, ordered by the lead metric's intervals
-    header = ["team", *(str(m) for m in r.metrics)]
+    names = [str(m) for m in r.metrics]
     rows = [
         [team, *(half_up(r.points[team][m].value) for m in r.metrics)]
         for team, _ in r.by_metric[lead_metric(r.metrics)].intervals
     ]
-    put("table1.csv", _csv_lines([header, *rows]))
-    put("table1.tex", _tex_table(["Team", *(str(m) for m in r.metrics)], rows))
+    table("table1", [["team", *names], *rows], ["Team", *names], rows)
 
-    for m in r.metrics:
+    for m, name in zip(r.metrics, names):
         mr = r.by_metric[m]
-        name = str(m)
-
         rows = [
             [team, half_up(ci.lower), half_up(ci.upper), half_up(ci.point)]
             for team, ci in mr.intervals
         ]
-        put(f"table2_{name}.csv", _csv_lines([["team", "lower", "upper", "point"], *rows]))
-        tex_rows = [[t, f"({lo},{hi})"] for t, lo, hi, _ in rows]
-        put(f"table2_{name}.tex", _tex_table(["Team", "CI"], tex_rows))
+        table(f"table2_{name}", [["team", "lower", "upper", "point"], *rows],
+              ["Team", "CI"], [[t, f"({lo},{hi})"] for t, lo, hi, _ in rows])
 
         rows = [
             [d.team_b, half_up(d.ci.lower), half_up(d.mean), half_up(d.ci.upper),
              "true" if d.contains_zero else "false"]
             for d in mr.differences
         ]
-        put(
-            f"table3_{name}.csv",
-            _csv_lines([["team", "ici", "mean", "sci", "contains_zero"], *rows]),
-        )
-        put(
-            f"table3_{name}.tex",
-            _tex_table(["Team", "ICI", "Mean", "SCI"], [row[:4] for row in rows]),
-        )
+        table(f"table3_{name}", [["team", "ici", "mean", "sci", "contains_zero"], *rows],
+              ["Team", "ICI", "Mean", "SCI"], [row[:4] for row in rows])
 
-        if mr.stars is not None:
-            teams = list(mr.stars.teams)
-            header = ["", *teams[:-1]]
-            rows = []
-            for i, row_team in enumerate(teams[1:], start=1):
-                cells = []
-                for col_team in teams[:-1]:
-                    cell = mr.stars.cells.get((row_team, col_team))
-                    if cell is None:
-                        cells.append("")
-                    else:
-                        text = half_up(cell.delta, 3)
-                        if cell.stars:
-                            text += f" {cell.stars}"
-                        cells.append(text)
-                rows.append([row_team, *cells])
-            put(f"table4_{name}.csv", _csv_lines([header, *rows]))
-            tex_rows = [
-                [team, *(c.replace("†", "$\\dagger$") for c in cells)]
-                for team, *cells in rows
-            ]
-            put(
-                f"table4_{name}.tex",
-                _tex_table(header, tex_rows, note=STAR_NOTE),
-            )
-        else:
-            put(f"table4_{name}.csv", _csv_lines([["team"]]))
-            put(f"table4_{name}.tex", _tex_table(["Team"], []))
+        if mr.stars is None:
+            table(f"table4_{name}", [["team"]], ["Team"], [])
+            continue
+        # row i holds a cell for each of the i columns ranked above it
+        teams, cells = mr.stars.teams, mr.stars.cells
+        rows = []
+        for i, row in enumerate(teams[1:], start=1):
+            above = [cells[row, col] for col in teams[:i]]
+            rows.append([row, *(f"{half_up(c.delta, 3)} {c.stars}".rstrip() for c in above),
+                         *[""] * (len(teams) - 1 - i)])
+        header = ["", *teams[:-1]]
+        tex_rows = [[t, *(c.replace("†", "$\\dagger$") for c in texts)] for t, *texts in rows]
+        table(f"table4_{name}", [header, *rows], header, tex_rows, note=STAR_NOTE)
 
     return written

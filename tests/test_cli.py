@@ -77,6 +77,32 @@ class TestAnalyze:
         assert "pair ace:ace compares a team with itself" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs", ["ace:mid,mid:ace", "ace:mid,mid:tail,ace:mid"])
+    def test_duplicate_pairs_exit_2_without_output(self, small_csv, tmp_path, capsys, pairs):
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--pairs", pairs) == 2
+        assert "repeats an earlier pair" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_pair_team_is_rejected_before_resampling(
+        self, small_csv, tmp_path, capsys, monkeypatch
+    ):
+        import challenge_judge.pipeline as pipeline_mod
+        from challenge_judge.errors import UnknownTeam
+
+        def never(*args, **kwargs):
+            raise AssertionError("distributions ran before the pair check")
+
+        monkeypatch.setattr(pipeline_mod, "distributions", never)
+        ds = cj.load(small_csv, "offensive")
+        config = pipeline_mod.RunConfig(b=200, pairs=(("ace", "mid"), ("ace", "nobody")))
+        with pytest.raises(UnknownTeam, match="pair names unknown team 'nobody'"):
+            pipeline_mod.analyze(ds, config)
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--pairs", "ace:nobody") == 2
+        assert "pair names unknown team 'nobody'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pairs_are_oriented_as_the_star_matrix_ranks_ties(self, tmp_path):
         # alpha and zeta tie on every metric; rank_teams puts alpha first
         spec = ReconstructionSpec(60, 140, {"alpha": (40, 20), "zeta": (40, 20), "mid": (30, 10)})
@@ -162,6 +188,7 @@ class TestConfigPrecedence:
         {"pairs": [["ace", ""]]},
         {"pairs": ["ace:mid"]},
         {"pairs": {"ace": "mid"}},
+        {"pairs": [["ace", "mid"], ["mid", "ace"]]},
     ])
     def test_bad_config_lists_exit_2(self, small_csv, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
