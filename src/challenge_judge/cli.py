@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset
@@ -25,7 +26,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 
-CONFIG_KEYS = ("input", "out", "positive", "b", "seed", "level", "metrics", "pairs", "threads")
+# each config-file key and its reader: as its flag reads text, or (None) a flag string or JSON list
+CONFIG_KEYS = {"input": str, "out": str, "positive": str, "b": int, "seed": int,
+               "level": float, "metrics": None, "pairs": None, "threads": int}
 
 
 def _parse_metrics(value) -> tuple[MetricKind, ...]:
@@ -61,7 +64,7 @@ def _parse_pairs(value) -> tuple[tuple[str, str], ...]:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    """Apply precedence: command-line flag > config file > built-in default.
+    """Apply precedence: command-line flag > config file > ``RunConfig`` default.
 
     A config-file scalar is read as its flag reads text: ``{"b": "300"}``
     is 300, while ``{"seed": 2.7}`` or ``{"b": null}`` is a ``ConfigError``,
@@ -79,13 +82,11 @@ def _merge(args: argparse.Namespace) -> RunConfig:
                 f" known keys are {', '.join(CONFIG_KEYS)}"
             )
 
-    def pick(key, kind=str, default=None):
+    def pick(key, kind):
         flag = getattr(args, key, None)
-        if flag is not None:
+        if flag is not None or key not in file_cfg:
             return flag
-        if key not in file_cfg:
-            return default
-        if kind is None:  # metrics, pairs: the flag string or a JSON list
+        if kind is None:
             return file_cfg[key]
         try:
             return kind(str(file_cfg[key]))
@@ -94,49 +95,35 @@ def _merge(args: argparse.Namespace) -> RunConfig:
                 f"config key {key!r} must be {kind.__name__}, got {file_cfg[key]!r}"
             ) from None
 
-    input_path = pick("input")
-    out = pick("out")
-    positive = pick("positive")
-    if input_path is None:
-        raise ConfigError("--input is required")
-    if positive is None:
-        raise ConfigError("--positive is required")
-    metrics = pick("metrics", None)
-    pairs = pick("pairs", None)
-    return RunConfig(
-        input=Path(input_path),
-        positive=positive,
-        b=pick("b", int, RunConfig.b),
-        seed=pick("seed", int, RunConfig.seed),
-        level=pick("level", float, RunConfig.level),
-        metrics=_parse_metrics(metrics) if metrics is not None else ALL_METRICS,
-        out=Path(out) if out is not None else None,
-        pairs=_parse_pairs(pairs) if pairs is not None else None,
-        threads=pick("threads", int),
-    )
+    given = {key: pick(key, kind) for key, kind in CONFIG_KEYS.items()}
+    given = {key: value for key, value in given.items() if value is not None}
+    for key in ("input", "positive"):
+        if key not in given:
+            raise ConfigError(f"--{key} is required")
+    for key, parse in (("input", Path), ("out", Path),
+                       ("metrics", _parse_metrics), ("pairs", _parse_pairs)):
+        if key in given:
+            given[key] = parse(given[key])
+    return RunConfig(**given)
 
 
 def _manifest(config: RunConfig) -> str:
-    digest = hashlib.sha256(Path(config.input).read_bytes()).hexdigest()
-    doc = {
-        "command": "analyze",
-        "input": str(config.input),
-        "input_sha256": digest,
-        "positive": config.positive,
-        "b": config.b,
-        "seed": config.seed,
-        "level": config.level,
-        "metrics": [str(m) for m in config.metrics],
-        "pairs": [list(p) for p in config.pairs] if config.pairs is not None else None,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The input's SHA-256 and every setting but out and threads, which change no result."""
+    digest = hashlib.sha256()
+    with open(config.input, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time, never the whole file
+            digest.update(chunk)
+    doc = {"command": "analyze", "input": config.input, "input_sha256": digest.hexdigest()}
+    for f in fields(config):
+        if f.name not in ("input", "out", "threads"):
+            doc[f.name] = getattr(config, f.name)
+    return json.dumps(doc, indent=2, default=str) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _merge(args)
     if config.out is None:
         raise ConfigError("--out is required")
-    config.validate()
     ds = dataset.load(config.input, config.positive)
     report = analyze(ds, config)
     emit_tables(report, config.out)
@@ -203,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ChallengeJudgeError, OSError, json.JSONDecodeError) as exc:
+    except (ChallengeJudgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # internal failure

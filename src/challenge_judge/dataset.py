@@ -44,6 +44,7 @@ from .errors import (
     LengthMismatch,
     MissingColumn,
     UnknownPositiveLabel,
+    as_io_failure,
 )
 from .metrics import is_positive
 
@@ -102,7 +103,7 @@ class LabeledDataset:
 def load(path: str | Path, positive: str) -> LabeledDataset:
     """Load and validate a wide gold+predictions CSV."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with as_io_failure(path, "read"), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -159,17 +160,23 @@ def write(ds: LabeledDataset, path: str | Path) -> None:
     for name, col in zip(header, columns):
         if "" in col:
             raise EmptyCell(f"cannot write {path}: empty cell ({name})")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with as_io_failure(path, "write"), Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *zip(*columns)])
 
 
 def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 raise IoFailure naming it."""
-    with Path(path).open(encoding="utf-8") as fh:
+    """Parse a UTF-8 JSON file, naming it in every failure.
+
+    A file that cannot be read or is not UTF-8 raises IoFailure; text that
+    is not JSON raises ConfigError with the line and column of the fault.
+    """
+    with as_io_failure(path, "read"), Path(path).open(encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: not JSON ({exc.msg})") from None
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,8 @@ class ReconstructionSpec:
             "n_neg": self.n_neg,
             "teams": {t: {"tp": tp, "fp": fp} for t, (tp, fp) in self.teams.items()},
         }
-        Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
+        with as_io_failure(path, "write"):
+            Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
 
 
 def reconstruct(

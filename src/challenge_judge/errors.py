@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one map from OS errors to it."""
+
+from contextlib import contextmanager
 
 
 class ChallengeJudgeError(Exception):
@@ -51,3 +53,12 @@ class IoFailure(ChallengeJudgeError):
 
 class ConfigError(ChallengeJudgeError):
     """Run configuration violates its invariants."""
+
+
+@contextmanager
+def as_io_failure(path, verb: str):
+    """Raise an OS error from the block as IoFailure("cannot <verb> <path>: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot {verb} {path}: {exc}") from exc

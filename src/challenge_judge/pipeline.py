@@ -36,7 +36,7 @@ MIN_REPLICATES = 100
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducible run: what to read, how to resample, what to write."""
+    """One reproducible run: what to read, how to resample, what to write; checked when made."""
 
     input: Path | None = None
     positive: str = "offensive"
@@ -48,7 +48,7 @@ class RunConfig:
     pairs: tuple[tuple[str, str], ...] | None = None
     threads: int | None = None  # validated for compatibility; selects nothing
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.b < MIN_REPLICATES:
             raise ConfigError(f"b must be >= {MIN_REPLICATES}, got {self.b}")
         if not 0.5 <= self.level < 1.0:
@@ -115,14 +115,13 @@ class ComparisonReport:
 
 def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     """Run the full paired-bootstrap comparison on a validated dataset."""
-    config.validate()
     for pair in config.pairs or ():
         for t in pair:
             if t not in ds.teams:
                 raise UnknownTeam(f"pair names unknown team {t!r}")
     points = point_estimates(ds)
     plan = make_plan(ds.n, config.b, config.seed)
-    dists = distributions(ds, plan, config.metrics, threads=config.threads)
+    dists = distributions(ds, plan, config.metrics)
 
     by_metric: dict[MetricKind, MetricReport] = {}
     for m in config.metrics:

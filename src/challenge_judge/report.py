@@ -15,7 +15,7 @@ import json
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .errors import IoFailure
+from .errors import as_io_failure
 from .inference import ConfidenceInterval
 from .metrics import lead_metric
 from .pipeline import ComparisonReport
@@ -116,10 +116,8 @@ def to_dict(r: ComparisonReport) -> dict:
 
 def write_text(path: Path, text: str) -> Path:
     """Write one UTF-8 output file, mapping OS errors to IoFailure."""
-    try:
+    with as_io_failure(path, "write"):
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -175,10 +173,8 @@ STAR_NOTE = (
 def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write report.json plus one CSV and one LaTeX fragment per table."""
     out = Path(out_dir)
-    try:
+    with as_io_failure(out, "create"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
     text = json.dumps(to_dict(r), indent=2, ensure_ascii=False) + "\n"
     written = [write_text(out / "report.json", text)]
 

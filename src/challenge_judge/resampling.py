@@ -30,12 +30,19 @@ SEED_LIMIT = 2**64  # a seed is one Philox key word: an integer in [0, 2**64)
 class ResamplePlan:
     """B rows of n with-replacement indices shared by every team.
 
-    The plan stores only (n, b, seed); ``_passes`` regenerates the rows.
+    The plan stores only (n, b, seed), checked when it is made (``make_plan``
+    is this constructor); ``_passes`` regenerates the rows.
     """
 
     n: int
     b: int
     seed: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.b < 1:
+            raise ValueError(f"need n >= 1 and b >= 1, got n={self.n}, b={self.b}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def _passes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(first_row, idx)``: rows first_row, first_row + 1, ... as int64.
@@ -107,17 +114,7 @@ class ScoreDistribution:
         return len(self.values)
 
 
-def make_plan(n: int, b: int, seed: int) -> ResamplePlan:
-    """The shared index plan for ``b`` resamples of size ``n``.
-
-    Deterministic in (n, b, seed); rows are independent counter-based
-    streams, so any subset of rows can be regenerated in isolation.
-    """
-    if n < 1 or b < 1:
-        raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return ResamplePlan(n=n, b=b, seed=seed)
+make_plan = ResamplePlan  # the public name of the plan's constructor
 
 
 def distributions(

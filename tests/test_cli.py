@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -157,6 +158,19 @@ class TestAnalyze:
         assert "metrics must not repeat" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", ["--input", "--positive", "--out"])
+    def test_required_settings_exit_2(self, small_csv, tmp_path, capsys, missing):
+        flags = {"--input": small_csv, "--positive": "offensive", "--out": tmp_path / "o"}
+        del flags[missing]
+        assert main(["analyze", *map(str, itertools.chain(*flags.items())), "--b", "200"]) == 2
+        assert f"error: {missing} is required" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_analyze(small_csv, out) == 2
+        assert f"error: cannot create {out}: " in capsys.readouterr().err
+
     def test_internal_error_exits_1(self, small_csv, tmp_path, monkeypatch):
         import challenge_judge.cli as cli_mod
 
@@ -258,6 +272,31 @@ class TestConfigPrecedence:
         assert main(["validate", "--config", str(cfg)]) == 0
         cfg.write_text(json.dumps({"input": str(small_csv), "positive": "offensive", "x": 1}))
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"b": 50}, "b must be >= 100"),
+        ({"level": 1.0}, "level must be in [0.5, 1)"),
+        ({"threads": 0}, "threads must be >= 1"),
+        ({"pairs": [["ace", "mid"], ["mid", "ace"]]}, "pair mid:ace repeats an earlier pair"),
+    ])
+    def test_validate_rejects_what_analyze_rejects(
+        self, small_csv, tmp_path, capsys, doc, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(small_csv), "positive": "offensive", **doc}))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {message}") == 2
+        assert not out.exists()
+
+    def test_malformed_config_exits_2_naming_line_and_column(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"b": 300,\n "seed" 7}')
+        assert main(["validate", "--input", str(small_csv), "--positive", "offensive",
+                     "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:2:9: not JSON (Expecting ':' delimiter)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [3, [1, 2], "b"])
     def test_config_file_must_be_an_object(self, small_csv, tmp_path, doc):

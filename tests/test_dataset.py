@@ -143,6 +143,17 @@ class TestLoad:
             load(path, "pos")
         assert str(err.value) == f"{path}: no data rows after the header"
 
+    def test_duplicate_team_columns(self, tmp_path):
+        path = write_csv(tmp_path, "id,gold,t,t\n1,pos,pos,pos\n")
+        with pytest.raises(DuplicateId, match="duplicate team column names$"):
+            load(path, "pos")
+
+    @pytest.mark.parametrize("name", ["missing.csv", ""], ids=["missing", "directory"])
+    def test_unreadable_path_is_an_io_failure(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(IoFailure, match=f"^cannot read {path}: "):
+            load(path, "pos")
+
     @pytest.mark.parametrize("header, column", [("id,gold,t,", 4), ("id,gold,,t", 3)])
     def test_empty_team_name_is_named_at_the_header(self, tmp_path, header, column):
         path = write_csv(tmp_path, f"{header}\n1,pos,pos,pos\n")
@@ -203,6 +214,12 @@ class TestWrite:
         out = tmp_path / "copy.csv"
         write(ds, out)
         assert out.read_bytes() == GOOD.replace("\n", "\r\n").encode("utf-8")
+
+    def test_missing_directory_is_an_io_failure(self, tmp_path):
+        ds = load(write_csv(tmp_path, GOOD), "pos")
+        out = tmp_path / "absent" / "copy.csv"
+        with pytest.raises(IoFailure, match=f"^cannot write {out}: "):
+            write(ds, out)
 
 
 SPECIAL = st.sampled_from([",", '"', "\r", "\n", " ", "é", "€", "\ufeff", "好"])
@@ -278,6 +295,22 @@ def test_positive_mask_matches_string_comparison(tmp_path, columns, build):
     for team, pred in ds.teams.items():
         c = cj.confusion(ds.gold, pred, positive)
         assert points[team] == {m: cj.score(c, m) for m in cj.ALL_METRICS}
+
+
+COLUMN = np.array(["pos", "neg"], dtype=object)
+
+
+@pytest.mark.parametrize("ids, gold, teams, positive, error, message", [
+    ((), COLUMN[:0], {"t": COLUMN[:0]}, "pos", LengthMismatch, "at least one example"),
+    (("a", "b"), COLUMN[:1], {"t": COLUMN}, "pos", LengthMismatch, "gold column has 1 entries"),
+    (("a", "b"), COLUMN, {}, "pos", MissingColumn, "at least one team column"),
+    (("a", "b"), COLUMN, {"": COLUMN}, "pos", MissingColumn, "team names must be non-empty"),
+    (("a", "b"), COLUMN, {"t": COLUMN[:1]}, "pos", LengthMismatch, "team 't' column has 1"),
+    (("a", "b"), COLUMN, {"t": COLUMN}, "", UnknownPositiveLabel, "non-empty token"),
+], ids=["no-ids", "gold-length", "no-teams", "empty-team-name", "team-length", "empty-positive"])
+def test_dataset_checks_itself_when_made(ids, gold, teams, positive, error, message):
+    with pytest.raises(error, match=message):
+        cj.LabeledDataset(ids, gold, teams, positive)
 
 
 def test_positive_mask_of_a_built_dataset_copies_no_cells():
@@ -356,6 +389,11 @@ class TestReconstruct:
         c = cj.confusion(again.gold, again.teams["t"], again.positive)
         assert (c.tp, c.fp) == (2, 1)
 
+    @pytest.mark.parametrize("n_pos, n_neg", [(0, 5), (5, -1)])
+    def test_bad_class_sizes(self, n_pos, n_neg):
+        with pytest.raises(CountOutOfRange, match="invalid class sizes"):
+            ReconstructionSpec(n_pos, n_neg)
+
     def test_spec_json_roundtrip(self, tmp_path):
         spec = offendmex.reconstruction_spec()
         path = tmp_path / "spec.json"
@@ -377,6 +415,22 @@ class TestReconstruct:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError):
             ReconstructionSpec.from_json(path)
+
+    def test_spec_json_missing_file_is_an_io_failure(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(IoFailure, match=f"^cannot read {path}: "):
+            ReconstructionSpec.from_json(path)
+
+    def test_spec_json_malformed_names_line_and_column(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n_pos": 5,\n "n_neg" 5}')
+        with pytest.raises(ConfigError, match=f"^{path}:2:10: not JSON "):
+            ReconstructionSpec.from_json(path)
+
+    def test_spec_to_json_into_missing_directory_is_an_io_failure(self, tmp_path):
+        path = tmp_path / "absent" / "spec.json"
+        with pytest.raises(IoFailure, match=f"^cannot write {path}: "):
+            ReconstructionSpec(5, 5).to_json(path)
 
     def test_spec_json_reads_counts_as_int_reads_text(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -50,6 +50,10 @@ class TestPercentileCI:
         assert shifted.lower == pytest.approx(base.lower + 0.25, abs=1e-12)
         assert shifted.upper == pytest.approx(base.upper + 0.25, abs=1e-12)
 
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ValueError, match="empty distribution"):
+            percentile_ci([])
+
     def test_bad_level(self):
         with pytest.raises(ValueError):
             percentile_ci(dist([0.1]).values, 1.0)

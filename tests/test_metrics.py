@@ -34,6 +34,11 @@ class TestConfusion:
         with pytest.raises(LengthMismatch):
             confusion([], [], "+")
 
+    @pytest.mark.parametrize("field", ["tp", "fp", "fn_", "tn"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+            ConfusionCounts(**{"tp": 1, "fp": 1, "fn_": 1, "tn": 1, field: -1})
+
     def test_nlpcic_reconstruction_counts(self, offendmex_ds):
         # tp = round(0.7100 * 600), tp + fp = round(tp / 0.7208)
         c = confusion(offendmex_ds.gold, offendmex_ds.teams["NLPCIC"], "offensive")
@@ -49,6 +54,10 @@ class TestConfusion:
 
 
 class TestScore:
+    def test_metric_values_rejects_a_non_metric(self):
+        with pytest.raises(ValueError, match="^unknown metric 'f1'$"):
+            metric_values(np.array([1]), np.array([0]), np.array([0]), "f1")
+
     def test_published_nlpcic_row(self):
         c = ConfusionCounts(426, 165, 174, 1417)
         assert round(score(c, P).value, 4) == 0.7208

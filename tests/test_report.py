@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import challenge_judge as cj
+from challenge_judge.errors import IoFailure
 from challenge_judge.metrics import MetricKind
 from challenge_judge.pipeline import RunConfig, analyze
-from challenge_judge.report import _tex_escape, emit_tables, half_up, to_dict
+from challenge_judge.report import _tex_escape, emit_tables, half_up, to_dict, write_text
 from challenge_judge.svgfig import (
+    MIN_BINS,
     emit_all_figures,
     emit_difference_plot,
     emit_histogram,
@@ -161,6 +163,17 @@ class TestTables:
             r"\textbackslash{}\&\%\$\#\_\{\}\textasciitilde{}\textasciicircum{}a"
         )
 
+    def test_write_into_missing_directory_is_an_io_failure(self, tmp_path):
+        path = tmp_path / "absent" / "report.json"
+        with pytest.raises(IoFailure, match=f"^cannot write {path}: "):
+            write_text(path, "{}")
+
+    def test_out_dir_that_is_a_file_is_an_io_failure(self, small_report, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(IoFailure, match=f"^cannot create {out}: "):
+            emit_tables(small_report, out)
+
     def test_emission_is_deterministic(self, small_report, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         emit_tables(small_report, a)
@@ -253,6 +266,10 @@ class TestHistogram:
         # two-valued data: FD width is huge, floor kicks in
         diffs = np.asarray([0.0] * 500 + [1.0] * 500)
         assert histogram_bins(diffs) == 10
+
+    def test_zero_iqr_with_a_spread_takes_the_floor(self):
+        # one outlier: the quartiles coincide, so the Freedman-Diaconis width is 0
+        assert histogram_bins(np.asarray([0.0] * 99 + [1.0])) == MIN_BINS
 
     def test_constant_diffs_single_bin(self, tmp_path):
         path = emit_histogram(np.zeros(100), 0.0, "clone", tmp_path)

@@ -10,6 +10,7 @@ from challenge_judge.metrics import MetricKind, confusion, metric_values, score
 from challenge_judge.resampling import (
     BLOCK_ROWS,
     _count_dtype,
+    ResamplePlan,
     _lemire,
     distributions,
     make_plan,
@@ -134,6 +135,11 @@ class TestMakePlan:
             make_plan(0, 10, seed=1)
         with pytest.raises(ValueError):
             make_plan(10, 0, seed=1)
+
+    @pytest.mark.parametrize("n, b, seed", [(0, 10, 1), (10, 0, 1), (10, 5, -1)])
+    def test_plan_checks_itself_when_made(self, n, b, seed):
+        with pytest.raises(ValueError):
+            ResamplePlan(n, b, seed)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
