@@ -11,8 +11,9 @@ grow with b*n.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -56,6 +57,13 @@ class ResamplePlan:
         reject and redraw (rare unless n is large) is regenerated by numpy's
         own call.
 
+        A row is re-keyed by writing three words of the generator's state
+        (``_store_rekey``): key word 1, counter word 0 and the buffer
+        position. That state is numpy's private struct, so its layout is
+        checked once per call, before the first write; if the check fails,
+        each row is re-keyed by assigning a fresh state dict instead
+        (``_dict_rekey``). Both give the same rows.
+
         A pass holds the largest power of two rows, at most BLOCK_ROWS, whose
         draws fit in REDUCE_DRAWS (at least one row), so passes tile the
         BLOCK_ROWS-row blocks exactly. ``idx`` is one reused buffer: the
@@ -65,8 +73,7 @@ class ResamplePlan:
         n = self.n
         bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        key = fresh["state"]["key"]
+        rekey = _store_rekey(bitgen, gen, self.seed) or _dict_rekey(bitgen, self.seed)
         words = (n + 1) // 2
         step = 1 << (max(1, min(BLOCK_ROWS, REDUCE_DRAWS // n)).bit_length() - 1)
         raw = np.empty((step, words), dtype="<u8")  # little-endian: low half first
@@ -74,16 +81,93 @@ class ResamplePlan:
         for first in range(0, self.b, step):
             rows = min(step, self.b - first)
             for i in range(rows):
-                key[1] = first + i
-                bitgen.state = fresh
+                rekey(first + i)
                 raw[i] = bitgen.random_raw(words)
             draws = raw[:rows].view("<u4")[:, :n]
             idx, rejected = _lemire(draws, n, product[:rows])
-            for i in np.flatnonzero(rejected):
-                key[1] = first + i
-                bitgen.state = fresh
+            for i in np.flatnonzero(rejected).tolist():
+                rekey(first + i, redraw=True)
                 idx[i] = gen.integers(0, n, size=n, dtype=np.int32)
             yield first, idx
+
+
+class _PhiloxState(ctypes.Structure):
+    """numpy's private ``philox_state`` (numpy/random/src/philox/philox.h).
+
+    The layout is numpy's, not a public ABI: ``_store_rekey`` checks it on
+    a fresh generator before writing through it.
+    """
+
+    _fields_ = [
+        ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+def _store_rekey(
+    bitgen: np.random.Philox, gen: np.random.Generator, seed: int
+) -> Callable[..., None] | None:
+    """Re-key ``bitgen`` by writing its state words, or None if their layout fails the check.
+
+    ``bitgen`` must be ``Philox(key=[seed, 0])`` with nothing drawn, and
+    ``gen`` its Generator. No pointer is followed until the plain fields
+    read as numpy sets them (an empty buffer of four zero words, position
+    4, no spare 32-bit half); then the key must read [seed, 0] and the
+    counter zero; then a probe row re-keyed by stores must draw what the
+    state-dict path draws. Any mismatch or exception gives None.
+
+    The returned ``rekey(row)`` writes key word 1 (the row), counter word 0
+    (a row draws far fewer than 2**64 blocks, so words 1-3 stay 0) and the
+    buffer position (4: the next draw computes a new block). With
+    ``redraw=True`` it also drops the spare 32-bit half that numpy's
+    ``integers`` would otherwise use first; ``random_raw`` ignores it.
+    It writes into ``bitgen``'s memory, so it must not outlive ``bitgen``.
+    """
+    try:
+        state = _PhiloxState.from_address(bitgen.ctypes.state_address)
+        if (state.buffer_pos, state.has_uint32, *state.buffer) != (4, 0, 0, 0, 0, 0):
+            return None
+        key, ctr = state.key.contents, state.ctr.contents
+        if (*key, *ctr) != (seed, 0, 0, 0, 0, 0):
+            return None
+
+        def rekey(row: int, redraw: bool = False) -> None:
+            key[1] = row
+            ctr[0] = 0
+            state.buffer_pos = 4
+            if redraw:
+                state.has_uint32 = 0
+
+        # probe: from a drawn word, a spare 32-bit half and a moved counter,
+        # re-key to row 1 by stores and by the state dict, and compare a
+        # 32-bit draw and raw words across a block boundary
+        fresh = bitgen.state
+        fresh["state"]["key"][1] = 1
+        bitgen.random_raw(1)
+        gen.integers(7, dtype=np.int32)
+        rekey(1, redraw=True)
+        got = [gen.integers(2**31 - 1, dtype=np.int32), *bitgen.random_raw(5)]
+        bitgen.state = fresh
+        want = [gen.integers(2**31 - 1, dtype=np.int32), *bitgen.random_raw(5)]
+        return rekey if got == want else None
+    except Exception:
+        return None
+
+
+def _dict_rekey(bitgen: np.random.Philox, seed: int) -> Callable[..., None]:
+    """Re-key ``bitgen`` by assigning a fresh state dict: numpy's public path."""
+    fresh = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).state
+    key = fresh["state"]["key"]
+
+    def rekey(row: int, redraw: bool = False) -> None:
+        key[1] = row
+        bitgen.state = fresh
+
+    return rekey
 
 
 def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -85,6 +85,35 @@ class TestAnalyze:
         assert "repeats an earlier pair" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("team, fault", [
+        ("a/b", "holds '/' or NUL"),
+        ("a\x00b", "holds '/' or NUL"),
+        ("é" * 124, "exceeds 255 bytes"),  # 138 characters, 262 UTF-8 bytes in its file name
+    ], ids=["slash", "nul", "long"])
+    def test_unwritable_figure_name_exits_2_without_output(self, tmp_path, capsys, team, fault):
+        spec = ReconstructionSpec(60, 140, {team: (50, 10), "x:y": (30, 20), "c": (45, 10)})
+        csv = tmp_path / "teams.csv"
+        write(reconstruct(spec, seed=3), csv)
+        out = tmp_path / "o"
+        assert run_analyze(csv, out) == 2  # default pairs: the leader vs c and vs x:y
+        err = capsys.readouterr().err
+        assert f"error: pair {team}:c: figure name " in err and fault in err
+        assert not out.exists()
+
+    def test_colliding_figure_names_exit_2_without_output(self, tmp_path, capsys):
+        spec = ReconstructionSpec(
+            60, 140, {"x_vs_y": (50, 10), "z": (30, 20), "x": (45, 10), "y_vs_z": (25, 30)}
+        )
+        csv = tmp_path / "teams.csv"
+        write(reconstruct(spec, seed=3), csv)
+        out = tmp_path / "o"
+        assert run_analyze(csv, out, "--pairs", "x_vs_y:z,x:y_vs_z") == 2
+        assert (
+            "error: pairs x_vs_y:z and x:y_vs_z share the figure name 'fig3_x_vs_y_vs_z.svg'"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_unknown_pair_team_is_rejected_before_resampling(
         self, small_csv, tmp_path, capsys, monkeypatch
     ):

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import challenge_judge as cj
+from challenge_judge import resampling
 from challenge_judge.errors import PlanMismatch
 from challenge_judge.metrics import MetricKind, confusion, metric_values, score
 from challenge_judge.resampling import (
@@ -19,6 +21,7 @@ from challenge_judge.resampling import (
 
 F1, R = MetricKind.F1, MetricKind.RECALL
 MULTI_BLOCK_B = 2 * BLOCK_ROWS + 5  # two full blocks and a partial one
+TOP_SEED = 2**64 - 1
 
 
 def oracle_row(seed: int, row: int, n: int) -> np.ndarray:
@@ -66,12 +69,58 @@ class TestMakePlan:
         for r in range(MULTI_BLOCK_B):
             assert np.array_equal(rows[r], oracle_row(5, r, 20)), r
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 500, 2182, 30001])
-    def test_every_row_matches_numpy_integers(self, n):
-        plan = make_plan(n, MULTI_BLOCK_B, seed=9)
+    @pytest.mark.parametrize("n, seed, fallback", [
+        *(pytest.param(n, 9, False, id=str(n)) for n in (1, 2, 3, 64, 500, 2182, 30001)),
+        *(
+            pytest.param(n, seed, fallback, id=f"{n}-seed{seed}{'-state-dict' * fallback}")
+            for n in (500, 2182, 30001)  # 30001: rows that numpy redraws
+            for seed, fallback in ((9, True), (TOP_SEED, False), (TOP_SEED, True))
+        ),
+    ])
+    def test_every_row_matches_numpy_integers(self, n, seed, fallback, monkeypatch):
+        if fallback:  # re-key every row by state dict, as if numpy's layout had moved
+            monkeypatch.setattr(resampling, "_store_rekey", lambda bitgen, gen, seed: None)
+        plan = make_plan(n, MULTI_BLOCK_B, seed=seed)
         rows = indices(plan)
         for r in range(MULTI_BLOCK_B):
-            assert np.array_equal(rows[r], oracle_row(9, r, n)), r
+            assert np.array_equal(rows[r], oracle_row(seed, r, n)), r
+
+    def test_installed_numpy_rekeys_by_stores(self, monkeypatch):
+        # the layout check accepts this numpy, so no row goes through the
+        # state dict, redrawn rows included
+        for seed in (9, TOP_SEED):
+            bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+            assert resampling._store_rekey(bitgen, np.random.Generator(bitgen), seed)
+
+        def refuse(bitgen, seed):
+            raise AssertionError("re-keyed by state dict")
+
+        monkeypatch.setattr(resampling, "_dict_rekey", refuse)
+        n = 30001
+        rows = indices(make_plan(n, BLOCK_ROWS, seed=1))
+        for r in range(BLOCK_ROWS):
+            assert np.array_equal(rows[r], oracle_row(1, r, n)), r
+
+    def test_layout_check_refuses_what_it_cannot_vouch_for(self, monkeypatch):
+        def check(seed=9, counter=None, drawn=0):
+            key = np.array([9, 0], dtype=np.uint64)
+            bitgen = np.random.Philox(key=key, counter=counter)
+            bitgen.random_raw(drawn)
+            return resampling._store_rekey(bitgen, np.random.Generator(bitgen), seed)
+
+        assert check() is not None
+        assert check(seed=8) is None  # key words differ
+        assert check(counter=[0, 1, 0, 0]) is None  # counter is not zero
+        assert check(drawn=1) is None  # the buffer holds drawn words
+
+        class Moved(ctypes.Structure):  # a layout missing most of numpy's fields
+            _fields_ = [("ctr", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
+
+        monkeypatch.setattr(resampling, "_PhiloxState", Moved)
+        assert check() is None
+        rows = indices(make_plan(500, 3, seed=9))
+        for r in range(3):
+            assert np.array_equal(rows[r], oracle_row(9, r, 500)), r
 
     def test_rows_numpy_would_redraw_fall_back_to_numpy(self):
         # at n=30001 about a quarter of the rows hold a draw numpy rejects,
