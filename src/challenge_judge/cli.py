@@ -20,7 +20,7 @@ from .errors import ChallengeJudgeError, ConfigError
 from .metrics import ALL_METRICS, MetricKind
 from .pipeline import RunConfig, analyze
 from .report import emit_tables, write_text
-from .svgfig import check_pair_names, emit_all_figures
+from .svgfig import emit_all_figures
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -125,8 +125,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if config.out is None:
         raise ConfigError("--out is required")
     ds = dataset.load(config.input, config.positive)
-    report = analyze(ds, config)
-    check_pair_names(report.pairs)  # before --out exists
+    report = analyze(ds, config)  # checks fig3 names before --out exists
     emit_tables(report, config.out)
     write_text(config.out / "manifest.json", _manifest(config))
     emit_all_figures(report, config.out)

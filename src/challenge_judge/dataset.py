@@ -233,8 +233,13 @@ def reconstruct(
     Gold is n_pos positives followed by n_neg negatives. For each team the
     seeded stream picks which positives it gets right (tp of them) and which
     negatives it gets wrong (fp of them); errors are placed independently
-    across teams.
+    across teams. Equal positive and negative labels, which would turn every
+    miss into a hit, and a negative seed raise ConfigError.
     """
+    if positive == negative:
+        raise ConfigError(f"positive and negative labels must differ, both are {positive!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     n = spec.n_pos + spec.n_neg
     gold = np.array([positive] * spec.n_pos + [negative] * spec.n_neg, dtype=object)

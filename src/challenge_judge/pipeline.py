@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .resampling import (
 )
 
 MIN_REPLICATES = 100
+NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,50 @@ class ComparisonReport:
     pairs: tuple[PairAnalysis, ...]
 
 
+def pair_name(team_a: str, team_b: str) -> str:
+    return f"{team_a}_vs_{team_b}"
+
+
+def check_pair_names(pairs: Iterable[tuple[str, str]]) -> None:
+    """Raise ConfigError unless each pair's fig3 file can be written under a name of its own.
+
+    A file name may hold no ``/`` or NUL, must fit in NAME_MAX UTF-8 bytes,
+    and must differ from every other pair's.
+    """
+    seen: dict[str, str] = {}
+    for a, b in pairs:
+        name = f"fig3_{pair_name(a, b)}.svg"
+        pair = f"{a}:{b}"
+        if "/" in name or "\0" in name:
+            raise ConfigError(f"pair {pair}: figure name {name!r} holds '/' or NUL")
+        if len(name.encode()) > NAME_MAX:
+            raise ConfigError(f"pair {pair}: figure name {name!r} exceeds {NAME_MAX} bytes")
+        if name in seen:
+            raise ConfigError(f"pairs {seen[name]} and {pair} share the figure name {name!r}")
+        seen[name] = pair
+
+
 def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
-    """Run the full paired-bootstrap comparison on a validated dataset."""
+    """Run the full paired-bootstrap comparison on a validated dataset.
+
+    Pair teams and fig3 file names are checked before any resampling.
+    """
     for pair in config.pairs or ():
         for t in pair:
             if t not in ds.teams:
                 raise UnknownTeam(f"pair names unknown team {t!r}")
     points = point_estimates(ds)
+    hist_metric = lead_metric(config.metrics)
+    lead_pts = {t: points[t][hist_metric].value for t in ds.teams}
+    if config.pairs is not None:
+        pair_list = config.pairs
+    else:
+        ranked = rank_teams(lead_pts)
+        pair_list = [(ranked[0], other) for other in ranked[1:3]]
+    # each pair as the star matrix orients it: higher score first, ties by name
+    oriented = [rank_teams({t: lead_pts[t] for t in pair}) for pair in pair_list]
+    check_pair_names(oriented)
+
     plan = make_plan(ds.n, config.b, config.seed)
     dists = distributions(ds, plan, config.metrics)
 
@@ -135,19 +173,10 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
             diffs, stars = [], None
         by_metric[m] = MetricReport(m, intervals, diffs, stars)
 
-    hist_metric = lead_metric(config.metrics)
-    pts = {t: points[t][hist_metric].value for t in ds.teams}
-    if config.pairs is not None:
-        pair_list = config.pairs
-    else:
-        ranked = rank_teams(pts)
-        pair_list = [(ranked[0], other) for other in ranked[1:3]]
-
     pairs = []
     hm = single_metric(dists, hist_metric)
-    for pair in pair_list:
-        a, b = rank_teams({t: pts[t] for t in pair})  # as the star matrix orients it
-        delta = pts[a] - pts[b]
+    for a, b in oriented:
+        delta = lead_pts[a] - lead_pts[b]
         d = paired_difference(hm[a], hm[b])
         pv = p_value(d, delta)
         pairs.append(PairAnalysis(a, b, hist_metric, delta, pv.p, pv.b_exceed, d))

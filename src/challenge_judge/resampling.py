@@ -5,8 +5,9 @@ Every replicate row is drawn from its own counter-based stream keyed by
 does not depend on how rows are grouped. All teams are evaluated on the
 same index rows, which is what makes per-replicate score differences
 meaningful. Rows are generated in cache-sized passes, and each pass is
-counted by one ``bincount`` into a reused block buffer, so memory does not
-grow with b*n.
+counted straight into the b-row result, either by summing packed per-item
+codes (few teams) or by one ``bincount`` into a reused block buffer, so
+memory does not grow with b*n.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray,
     uint64 buffer of the draws' shape; it is shifted in place and the
     indices are its int64 view.
     """
-    np.multiply(draws, np.uint64(n), out=product)
+    np.multiply(draws, np.uint64(n), out=product, dtype=np.uint64)
     rejected = product.view("<u4")[:, ::2].min(axis=1) < (2**32 - n) % n
     product >>= np.uint64(32)
     return product.view(np.int64), rejected
@@ -209,14 +210,9 @@ def distributions(
 ) -> dict[str, dict[MetricKind, ScoreDistribution]]:
     """All teams' distributions for the given metrics, sharing one plan.
 
-    Each pass of rows is counted by one ``bincount`` of its indices, offset
-    by n per row, into a reused (BLOCK_ROWS, n) multiplicity matrix W. Once
-    a block of BLOCK_ROWS rows (or the last, shorter one) is complete,
-    ``W @ A`` writes every team's counts for it at once, where A holds 2K+1
-    0/1 indicator columns: each team's tp, each team's predicted positives,
-    and the gold positives; then fp = pp - tp and fn = gp - tp. The product
-    runs in float32 (float64 once n > 2**24, see ``_count_dtype``) and is
-    exact because every partial sum is an integer <= n.
+    Each replicate row is reduced to 2K+1 counts over 0/1 indicator columns:
+    each team's tp, each team's predicted positives, and the gold positives;
+    then fp = pp - tp and fn = gp - tp. ``_counts`` says how.
 
     ``threads`` is validated and otherwise ignored; results and speed do
     not depend on it.
@@ -243,12 +239,54 @@ def _counts(plan: ResamplePlan, mask: np.ndarray) -> np.ndarray:
     """The (b, 2K+1) int64 counts that ``distributions`` describes.
 
     ``mask`` is the dataset's (n, K+1) gold-then-teams ``positive_mask``.
+    When the 2K+1 counts fit side by side in one 64-bit word at
+    ``n.bit_length()`` bits each, the rows are summed as packed codes
+    (``_packed_counts``); otherwise they are counted block by block through
+    a multiplicity matrix (``_block_counts``). Both give the same integers.
     """
-    n = plan.n
-    dtype = _count_dtype(n)
     g, p = mask[:, 0], mask[:, 1:]
     # columns: every team's tp indicator, then every predicted positive, then gold
-    indicators = np.column_stack([g[:, None] & p, p, g]).astype(dtype)
+    indicators = np.column_stack([g[:, None] & p, p, g])
+    bits = plan.n.bit_length()
+    if indicators.shape[1] * bits <= 64:
+        return _packed_counts(plan, indicators, bits)
+    indicators = indicators.astype(_count_dtype(plan.n))  # frees the bool copy before counting
+    return _block_counts(plan, indicators)
+
+
+def _packed_counts(plan: ResamplePlan, indicators: np.ndarray, bits: int) -> np.ndarray:
+    """Counts from summing one packed uint64 code per drawn item.
+
+    Item i's code holds indicator column j at bit ``j * bits``. A row's sum
+    of codes holds each column's count in its own field: a count is at most
+    n < 2**bits, so no carry crosses into the next field and the fields
+    unpack to the exact integers. Every array here is uint64, so the shifts
+    and sums stay 64-bit under any numpy casting rules.
+    """
+    shifts = np.arange(indicators.shape[1], dtype=np.uint64) * np.uint64(bits)
+    code = np.zeros(plan.n, dtype=np.uint64)
+    for column, shift in zip(indicators.T, shifts):  # faster than summing n short rows
+        code |= column.astype(np.uint64) << shift
+    packed = np.empty(plan.b, dtype=np.uint64)
+    for first, idx in plan._passes():
+        np.add.reduce(code.take(idx), axis=1, out=packed[first : first + len(idx)])
+    fields = (packed[:, None] >> shifts) & np.uint64((1 << bits) - 1)
+    return fields.view(np.int64)  # every field is below 2**21
+
+
+def _block_counts(plan: ResamplePlan, indicators: np.ndarray) -> np.ndarray:
+    """Counts from one ``bincount`` per pass and one ``W @ A`` per block.
+
+    Each pass of rows is counted by one ``bincount`` of its indices, offset
+    by n per row, into a reused (BLOCK_ROWS, n) multiplicity matrix W. Once
+    a block of BLOCK_ROWS rows (or the last, shorter one) is complete,
+    ``W @ A`` writes every column's counts for it at once, where A is
+    ``indicators`` in ``_count_dtype(n)``: float32, or float64 once
+    n > 2**24. The product is exact because every partial sum is an
+    integer <= n.
+    """
+    n = plan.n
+    dtype = indicators.dtype
     offsets = np.arange(BLOCK_ROWS, dtype=np.int64)[:, None] * n
     w = np.empty((BLOCK_ROWS, n), dtype=dtype)
     counts = np.empty((plan.b, indicators.shape[1]), dtype=dtype)

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
-from .pipeline import ComparisonReport, PairAnalysis
+from .pipeline import ComparisonReport, check_pair_names, pair_name
 from .report import write_text
 
 WIDTH, HEIGHT = 1600, 900
@@ -25,7 +23,6 @@ GREY = "#555555"
 FONT = "font-family=\"sans-serif\""
 
 MIN_BINS = 10
-NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 def _f(x: float) -> str:
@@ -198,33 +195,10 @@ def emit_histogram(
     return write_text(Path(out_dir) / f"fig3_{name}.svg", c.render())
 
 
-def pair_name(p: PairAnalysis) -> str:
-    return f"{p.team_a}_vs_{p.team_b}"
-
-
-def check_pair_names(pairs: Iterable[PairAnalysis]) -> None:
-    """Raise ConfigError unless each pair's fig3 file can be written under a name of its own.
-
-    A file name may hold no ``/`` or NUL, must fit in NAME_MAX UTF-8 bytes,
-    and must differ from every other pair's.
-    """
-    seen: dict[str, str] = {}
-    for p in pairs:
-        name = f"fig3_{pair_name(p)}.svg"
-        pair = f"{p.team_a}:{p.team_b}"
-        if "/" in name or "\0" in name:
-            raise ConfigError(f"pair {pair}: figure name {name!r} holds '/' or NUL")
-        if len(name.encode()) > NAME_MAX:
-            raise ConfigError(f"pair {pair}: figure name {name!r} exceeds {NAME_MAX} bytes")
-        if name in seen:
-            raise ConfigError(f"pairs {seen[name]} and {pair} share the figure name {name!r}")
-        seen[name] = pair
-
-
 def emit_all_figures(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    check_pair_names(r.pairs)
+    check_pair_names((p.team_a, p.team_b) for p in r.pairs)
     out = Path(out_dir)
     written = [emit_interval_plot(r, out), emit_difference_plot(r, out)]
     for p in r.pairs:
-        written.append(emit_histogram(p.diffs, p.delta, pair_name(p), out))
+        written.append(emit_histogram(p.diffs, p.delta, pair_name(p.team_a, p.team_b), out))
     return written

@@ -133,6 +133,22 @@ class TestAnalyze:
         assert "pair names unknown team 'nobody'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_figure_names_are_checked_before_resampling(self, tmp_path, monkeypatch):
+        import challenge_judge.pipeline as pipeline_mod
+        from challenge_judge.errors import ConfigError
+
+        def never(*args, **kwargs):
+            raise AssertionError("make_plan ran before the figure name check")
+
+        monkeypatch.setattr(pipeline_mod, "make_plan", never)
+        spec = ReconstructionSpec(60, 140, {"a/b": (50, 10), "c": (45, 10)})
+        ds = reconstruct(spec, seed=3)
+        with pytest.raises(ConfigError, match=r"pair a/b:c: figure name 'fig3_a/b_vs_c.svg'"):
+            pipeline_mod.analyze(ds, pipeline_mod.RunConfig(b=10_000))
+        # pairs given in either order are oriented, then checked, before the plan
+        with pytest.raises(ConfigError, match="pair a/b:c: figure name"):
+            pipeline_mod.analyze(ds, pipeline_mod.RunConfig(pairs=(("c", "a/b"),)))
+
     def test_pairs_are_oriented_as_the_star_matrix_ranks_ties(self, tmp_path):
         # alpha and zeta tie on every metric; rank_teams puts alpha first
         spec = ReconstructionSpec(60, 140, {"alpha": (40, 20), "zeta": (40, 20), "mid": (30, 10)})
@@ -460,6 +476,30 @@ class TestReconstruct:
         assert main([
             "reconstruct", "--spec", str(spec_path), "--out", str(out_csv), "--negative", "",
         ]) == 2
+        assert not out_csv.exists()
+
+    def test_equal_positive_and_negative_labels_exit_2(self, tmp_path, capsys):
+        # an all-"x" file would score team a's precision 1.0, not the spec's 0.5
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps({"n_pos": 2, "n_neg": 2, "teams": {"a": {"tp": 1, "fp": 1}}}))
+        out_csv = tmp_path / "r.csv"
+        assert main([
+            "reconstruct", "--spec", str(spec_path), "--out", str(out_csv),
+            "--positive", "x", "--negative", "x",
+        ]) == 2
+        assert "error: positive and negative labels must differ" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        ReconstructionSpec(20, 30, {"t": (15, 5)}).to_json(spec_path)
+        out_csv = tmp_path / "r.csv"
+        assert main([
+            "reconstruct", "--spec", str(spec_path), "--out", str(out_csv), "--seed", "-1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error: seed must be a non-negative integer, got -1" in err
+        assert "internal error" not in err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("team", [{"tp": 9}, {"tp": 2.7, "fp": 0}])

@@ -289,24 +289,46 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distributions(toy_ds, plan, threads=0)
 
-    @pytest.mark.parametrize("n, pass_rows", [
-        (37, 64), (1025, 32), (2183, 16), (20001, 2), (65537, 1),
+    @pytest.mark.parametrize("n, pass_rows, k, packed, b", [
+        pytest.param(37, 64, 6, False, MULTI_BLOCK_B, id="37-64"),
+        pytest.param(1025, 32, 6, False, MULTI_BLOCK_B, id="1025-32"),
+        pytest.param(2183, 16, 6, False, MULTI_BLOCK_B, id="2183-16"),
+        pytest.param(20001, 2, 6, False, MULTI_BLOCK_B, id="20001-2"),
+        pytest.param(65537, 1, 6, False, MULTI_BLOCK_B, id="65537-1"),
+        # 2K+1 fields of n.bit_length() bits share one 64-bit word while they
+        # fit: 3 x 21 = 63 bits at n = 2**21 - 1 but 66 at 2**21, 5 x 12 = 60
+        # at n = 4095 but 65 at 4096, 7 x 9 = 63 at n = 511 but 70 at 512
+        pytest.param(37, 64, 1, True, MULTI_BLOCK_B, id="k1-37"),
+        pytest.param(2**21 - 1, 1, 1, True, 2, id="k1-2097151"),
+        pytest.param(2**21, 1, 1, False, 2, id="k1-2097152"),
+        pytest.param(4095, 16, 2, True, MULTI_BLOCK_B, id="k2-4095"),
+        pytest.param(4096, 16, 2, False, MULTI_BLOCK_B, id="k2-4096"),
+        pytest.param(511, 64, 3, True, MULTI_BLOCK_B, id="k3-511"),
+        pytest.param(512, 64, 3, False, MULTI_BLOCK_B, id="k3-512"),
     ])
-    def test_matches_per_team_gather_reference(self, n, pass_rows):
+    def test_matches_per_team_gather_reference(self, n, pass_rows, k, packed, b, monkeypatch):
         # reference: gather each team's tp/fp/fn category codes through the
         # full index matrix and count them row by row, for every pass size
-        # "never" predicts no positive (tp = pp = 0, so precision and F1 are
-        # degenerate in every row) and "always" predicts all (tp = gp, fn = 0)
+        # and on both counting paths (packed codes and W @ A); the first k of
+        # t0, never, always, t1, t2, t3 compete: "never" predicts no positive
+        # (tp = pp = 0, so precision and F1 are degenerate in every row) and
+        # "always" predicts all (tp = gp, fn = 0)
         rng = np.random.default_rng(12)
         gold = rng.choice(["p", "n"], size=n)
-        teams = {f"t{i}": rng.choice(["p", "n"], size=n) for i in range(4)}
-        teams["never"] = np.full(n, "n")
-        teams["always"] = np.full(n, "p")
+        random_teams = [rng.choice(["p", "n"], size=n) for _ in range(4)]
+        teams = {"t0": random_teams[0], "never": np.full(n, "n"), "always": np.full(n, "p")}
+        teams.update((f"t{i}", random_teams[i]) for i in range(1, 4))
+        teams = dict(itertools.islice(teams.items(), k))
         ds = cj.LabeledDataset(tuple(map(str, range(n))), gold, teams, "p")
-        plan = make_plan(n, MULTI_BLOCK_B, seed=6)
+        plan = make_plan(n, b, seed=6)
         assert len(next(plan._passes())[1]) == pass_rows
+        packed_calls = []
+        real = resampling._packed_counts
+        monkeypatch.setattr(resampling, "_packed_counts",
+                            lambda *args: packed_calls.append(args) or real(*args))
         dists = distributions(ds, plan)
-        rows = np.stack([oracle_row(6, r, n) for r in range(MULTI_BLOCK_B)])
+        assert bool(packed_calls) == packed
+        rows = np.stack([oracle_row(6, r, n) for r in range(b)])
         for team, pred in teams.items():
             cat = (2 * (gold == "p") + (pred == "p")).astype(np.int8)[rows]
             tp, fn, fp = ((cat == c).sum(axis=1) for c in (3, 2, 1))
