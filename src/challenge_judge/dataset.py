@@ -233,9 +233,12 @@ def reconstruct(
     Gold is n_pos positives followed by n_neg negatives. For each team the
     seeded stream picks which positives it gets right (tp of them) and which
     negatives it gets wrong (fp of them); errors are placed independently
-    across teams. Equal positive and negative labels, which would turn every
-    miss into a hit, and a negative seed raise ConfigError.
+    across teams. An empty label, which ``write`` could not store, equal
+    positive and negative labels, which would turn every miss into a hit,
+    and a negative seed raise ConfigError.
     """
+    if not positive or not negative:
+        raise ConfigError(f"labels must be non-empty, got {positive!r} and {negative!r}")
     if positive == negative:
         raise ConfigError(f"positive and negative labels must differ, both are {positive!r}")
     if seed < 0:

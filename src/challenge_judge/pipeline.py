@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -118,11 +119,14 @@ def pair_name(team_a: str, team_b: str) -> str:
     return f"{team_a}_vs_{team_b}"
 
 
-def check_pair_names(pairs: Iterable[tuple[str, str]]) -> None:
-    """Raise ConfigError unless each pair's fig3 file can be written under a name of its own.
+def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -> None:
+    """Raise ConfigError unless every figure can be written under its name and draw its teams.
 
-    A file name may hold no ``/`` or NUL, must fit in NAME_MAX UTF-8 bytes,
-    and must differ from every other pair's.
+    Each pair's fig3 file name may hold no ``/`` or NUL, must fit in
+    NAME_MAX UTF-8 bytes, and must differ from every other pair's. Every
+    team is drawn in fig1 or fig2, so no team name may hold a character
+    that XML 1.0 forbids even as a reference: a control character other
+    than tab, newline and carriage return, a surrogate, U+FFFE or U+FFFF.
     """
     seen: dict[str, str] = {}
     for a, b in pairs:
@@ -135,12 +139,15 @@ def check_pair_names(pairs: Iterable[tuple[str, str]]) -> None:
         if name in seen:
             raise ConfigError(f"pairs {seen[name]} and {pair} share the figure name {name!r}")
         seen[name] = pair
+    for team in teams:
+        if bad := re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", team):
+            raise ConfigError(f"team {team!r} holds U+{ord(bad[0]):04X}, which SVG cannot carry")
 
 
 def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     """Run the full paired-bootstrap comparison on a validated dataset.
 
-    Pair teams and fig3 file names are checked before any resampling.
+    Pair teams and figure names are checked before any resampling.
     """
     for pair in config.pairs or ():
         for t in pair:
@@ -156,7 +163,7 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
         pair_list = [(ranked[0], other) for other in ranked[1:3]]
     # each pair as the star matrix orients it: higher score first, ties by name
     oriented = [rank_teams({t: lead_pts[t] for t in pair}) for pair in pair_list]
-    check_pair_names(oriented)
+    check_figure_names(ds.teams, oriented)
 
     plan = make_plan(ds.n, config.b, config.seed)
     dists = distributions(ds, plan, config.metrics)

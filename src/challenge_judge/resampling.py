@@ -23,7 +23,7 @@ from .errors import PlanMismatch
 from .metrics import ALL_METRICS, MetricKind, metric_values
 
 DEFAULT_REPLICATES = 10_000
-BLOCK_ROWS = 64  # replicate rows generated and counted together
+BLOCK_ROWS = 64  # the most replicate rows generated or counted together
 REDUCE_DRAWS = 2**16  # draws mapped to indices per pass, sized to stay in cache
 SEED_LIMIT = 2**64  # a seed is one Philox key word: an integer in [0, 2**64)
 
@@ -49,47 +49,44 @@ class ResamplePlan:
     def _passes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(first_row, idx)``: rows first_row, first_row + 1, ... as int64.
 
-        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``
-        with a uint64 key (a plain list sends seeds >= 2**63 through float64),
-        bit for bit. One Philox instance is re-keyed per row and fills the
-        row's ceil(n/2) raw 64-bit words at once; each word holds two 32-bit
+        Row r is ``Generator(_philox(seed, r)).integers(0, n, size=n)``, bit
+        for bit. A row's ceil(n/2) raw 64-bit words are drawn at once, from
+        one Philox re-keyed per row by ``_store_rekey`` or, if its layout
+        check fails, from a fresh ``_philox``. Each word holds two 32-bit
         draws, low half first (numpy's ``next_uint32`` order), which
         ``_lemire`` maps to [0, n). A row holding a draw that numpy would
-        reject and redraw (rare unless n is large) is regenerated by numpy's
-        own call.
+        reject and redraw (rare unless n is large) is numpy's own call.
 
-        A row is re-keyed by writing three words of the generator's state
-        (``_store_rekey``): key word 1, counter word 0 and the buffer
-        position. That state is numpy's private struct, so its layout is
-        checked once per call, before the first write; if the check fails,
-        each row is re-keyed by assigning a fresh state dict instead
-        (``_dict_rekey``). Both give the same rows.
-
-        A pass holds the largest power of two rows, at most BLOCK_ROWS, whose
-        draws fit in REDUCE_DRAWS (at least one row), so passes tile the
-        BLOCK_ROWS-row blocks exactly. ``idx`` is one reused buffer: the
-        caller may change it in place but must be done with it before
-        asking for the next pass.
+        Passes hold ``_pow2_rows(REDUCE_DRAWS, n)`` rows, so they tile the
+        counting blocks. ``idx`` is one reused buffer: the caller may change
+        it in place but must be done with it before asking for the next pass.
         """
-        n = self.n
-        bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
-        gen = np.random.Generator(bitgen)
-        rekey = _store_rekey(bitgen, gen, self.seed) or _dict_rekey(bitgen, self.seed)
+        n, seed = self.n, self.seed
+        stream = _store_rekey(_philox(seed, 0), seed) or (lambda row: _philox(seed, row))
         words = (n + 1) // 2
-        step = 1 << (max(1, min(BLOCK_ROWS, REDUCE_DRAWS // n)).bit_length() - 1)
+        step = _pow2_rows(REDUCE_DRAWS, n)
         raw = np.empty((step, words), dtype="<u8")  # little-endian: low half first
         product = np.empty((step, n), dtype="<u8")
         for first in range(0, self.b, step):
             rows = min(step, self.b - first)
             for i in range(rows):
-                rekey(first + i)
-                raw[i] = bitgen.random_raw(words)
+                raw[i] = stream(first + i).random_raw(words)
             draws = raw[:rows].view("<u4")[:, :n]
             idx, rejected = _lemire(draws, n, product[:rows])
             for i in np.flatnonzero(rejected).tolist():
-                rekey(first + i, redraw=True)
+                gen = np.random.Generator(_philox(seed, first + i))
                 idx[i] = gen.integers(0, n, size=n, dtype=np.int32)
             yield first, idx
+
+
+def _philox(seed: int, row: int) -> np.random.Philox:
+    """Row ``row``'s stream, keyed by uint64 (a list sends seeds >= 2**63 through float64)."""
+    return np.random.Philox(key=np.array([seed, row], dtype=np.uint64))
+
+
+def _pow2_rows(draws: int, n: int) -> int:
+    """The largest power of two rows of n, at most BLOCK_ROWS, within ``draws`` (at least 1)."""
+    return 1 << (max(1, min(BLOCK_ROWS, draws // n)).bit_length() - 1)
 
 
 class _PhiloxState(ctypes.Structure):
@@ -109,66 +106,40 @@ class _PhiloxState(ctypes.Structure):
     ]
 
 
-def _store_rekey(
-    bitgen: np.random.Philox, gen: np.random.Generator, seed: int
-) -> Callable[..., None] | None:
-    """Re-key ``bitgen`` by writing its state words, or None if their layout fails the check.
+def _store_rekey(bitgen: np.random.Philox, seed: int) -> Callable[[int], np.random.Philox] | None:
+    """``row -> bitgen`` re-keyed by writing its state words, or None if their layout fails.
 
-    ``bitgen`` must be ``Philox(key=[seed, 0])`` with nothing drawn, and
-    ``gen`` its Generator. No pointer is followed until the plain fields
-    read as numpy sets them (an empty buffer of four zero words, position
-    4, no spare 32-bit half); then the key must read [seed, 0] and the
-    counter zero; then a probe row re-keyed by stores must draw what the
-    state-dict path draws. Any mismatch or exception gives None.
+    ``bitgen`` must be ``_philox(seed, 0)`` with nothing drawn. No pointer
+    is followed until the plain fields read as numpy sets them (an empty
+    buffer, position 4, no spare 32-bit half); then the key must read
+    [seed, 0] and the counter zero; then, after a drawn word, row 1 must
+    draw what ``_philox(seed, 1)`` draws across a block boundary.
 
-    The returned ``rekey(row)`` writes key word 1 (the row), counter word 0
-    (a row draws far fewer than 2**64 blocks, so words 1-3 stay 0) and the
-    buffer position (4: the next draw computes a new block). With
-    ``redraw=True`` it also drops the spare 32-bit half that numpy's
-    ``integers`` would otherwise use first; ``random_raw`` ignores it.
-    It writes into ``bitgen``'s memory, so it must not outlive ``bitgen``.
+    ``rekey(row)`` writes key word 1 (the row), counter word 0 (a row draws
+    far fewer than 2**64 blocks, so words 1-3 stay 0) and the buffer
+    position (4: the next draw computes a new block). It never resets the
+    spare 32-bit half, so only ``random_raw`` may draw from ``bitgen``.
     """
     try:
         state = _PhiloxState.from_address(bitgen.ctypes.state_address)
-        if (state.buffer_pos, state.has_uint32, *state.buffer) != (4, 0, 0, 0, 0, 0):
+        fields = (state.buffer_pos, state.has_uint32, state.uinteger, *state.buffer)
+        if fields != (4, 0, 0, 0, 0, 0, 0):
             return None
         key, ctr = state.key.contents, state.ctr.contents
         if (*key, *ctr) != (seed, 0, 0, 0, 0, 0):
             return None
 
-        def rekey(row: int, redraw: bool = False) -> None:
+        def rekey(row: int) -> np.random.Philox:
             key[1] = row
             ctr[0] = 0
             state.buffer_pos = 4
-            if redraw:
-                state.has_uint32 = 0
+            return bitgen
 
-        # probe: from a drawn word, a spare 32-bit half and a moved counter,
-        # re-key to row 1 by stores and by the state dict, and compare a
-        # 32-bit draw and raw words across a block boundary
-        fresh = bitgen.state
-        fresh["state"]["key"][1] = 1
         bitgen.random_raw(1)
-        gen.integers(7, dtype=np.int32)
-        rekey(1, redraw=True)
-        got = [gen.integers(2**31 - 1, dtype=np.int32), *bitgen.random_raw(5)]
-        bitgen.state = fresh
-        want = [gen.integers(2**31 - 1, dtype=np.int32), *bitgen.random_raw(5)]
-        return rekey if got == want else None
+        probe = rekey(1).random_raw(5).tolist()
+        return rekey if probe == _philox(seed, 1).random_raw(5).tolist() else None
     except Exception:
         return None
-
-
-def _dict_rekey(bitgen: np.random.Philox, seed: int) -> Callable[..., None]:
-    """Re-key ``bitgen`` by assigning a fresh state dict: numpy's public path."""
-    fresh = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).state
-    key = fresh["state"]["key"]
-
-    def rekey(row: int, redraw: bool = False) -> None:
-        key[1] = row
-        bitgen.state = fresh
-
-    return rekey
 
 
 def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +249,9 @@ def _block_counts(plan: ResamplePlan, indicators: np.ndarray) -> np.ndarray:
     """Counts from one ``bincount`` per pass and one ``W @ A`` per block.
 
     Each pass of rows is counted by one ``bincount`` of its indices, offset
-    by n per row, into a reused (BLOCK_ROWS, n) multiplicity matrix W. Once
-    a block of BLOCK_ROWS rows (or the last, shorter one) is complete,
+    by n per row, into a reused (block, n) multiplicity matrix W, where a
+    block is ``_pow2_rows(BLOCK_ROWS * REDUCE_DRAWS, n)`` rows: W holds at
+    most 2**22 counts. Once a block (or the last, shorter one) is complete,
     ``W @ A`` writes every column's counts for it at once, where A is
     ``indicators`` in ``_count_dtype(n)``: float32, or float64 once
     n > 2**24. The product is exact because every partial sum is an
@@ -287,16 +259,17 @@ def _block_counts(plan: ResamplePlan, indicators: np.ndarray) -> np.ndarray:
     """
     n = plan.n
     dtype = indicators.dtype
-    offsets = np.arange(BLOCK_ROWS, dtype=np.int64)[:, None] * n
-    w = np.empty((BLOCK_ROWS, n), dtype=dtype)
+    block = _pow2_rows(BLOCK_ROWS * REDUCE_DRAWS, n)
+    offsets = np.arange(block, dtype=np.int64)[:, None] * n
+    w = np.empty((block, n), dtype=dtype)
     counts = np.empty((plan.b, indicators.shape[1]), dtype=dtype)
     for first, idx in plan._passes():
         rows = len(idx)
-        lo = first % BLOCK_ROWS
+        lo = first % block
         hi = lo + rows
         idx += offsets[:rows]
         w[lo:hi] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
-        if hi == BLOCK_ROWS or first + rows == plan.b:
+        if hi == block or first + rows == plan.b:
             np.matmul(w[:hi], indicators, out=counts[first - lo : first + rows])
     return counts.astype(np.int64)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import ComparisonReport, check_pair_names, pair_name
+from .pipeline import ComparisonReport, check_figure_names, pair_name
 from .report import write_text
 
 WIDTH, HEIGHT = 1600, 900
@@ -196,7 +196,7 @@ def emit_histogram(
 
 
 def emit_all_figures(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    check_pair_names((p.team_a, p.team_b) for p in r.pairs)
+    check_figure_names(r.teams, ((p.team_a, p.team_b) for p in r.pairs))
     out = Path(out_dir)
     written = [emit_interval_plot(r, out), emit_difference_plot(r, out)]
     for p in r.pairs:

@@ -149,6 +149,26 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="pair a/b:c: figure name"):
             pipeline_mod.analyze(ds, pipeline_mod.RunConfig(pairs=(("c", "a/b"),)))
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x1f"], ids=["nul", "soh", "us"])
+    def test_team_name_svg_cannot_carry_exits_2_before_resampling(
+        self, tmp_path, capsys, monkeypatch, char
+    ):
+        # the team is in no pair, but fig1 and fig2 draw every team
+        import challenge_judge.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("make_plan ran before the team name check")
+
+        monkeypatch.setattr(pipeline_mod, "make_plan", never)
+        team = f"a{char}b"
+        spec = ReconstructionSpec(60, 140, {"ace": (50, 10), "mid": (40, 20), team: (30, 30)})
+        csv = tmp_path / "teams.csv"
+        write(reconstruct(spec, seed=3), csv)
+        out = tmp_path / "o"
+        assert run_analyze(csv, out, "--pairs", "ace:mid") == 2
+        assert f"error: team {team!r} holds U+{ord(char):04X}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pairs_are_oriented_as_the_star_matrix_ranks_ties(self, tmp_path):
         # alpha and zeta tie on every metric; rank_teams puts alpha first
         spec = ReconstructionSpec(60, 140, {"alpha": (40, 20), "zeta": (40, 20), "mid": (30, 10)})

@@ -389,6 +389,12 @@ class TestReconstruct:
         c = cj.confusion(again.gold, again.teams["t"], again.positive)
         assert (c.tp, c.fp) == (2, 1)
 
+    @pytest.mark.parametrize("labels", [{"negative": ""}, {"positive": ""}], ids=["neg", "pos"])
+    def test_empty_label_is_refused(self, labels):
+        # an empty gold or team cell could not be written and loaded back
+        with pytest.raises(ConfigError, match="labels must be non-empty"):
+            reconstruct(ReconstructionSpec(3, 2, {"t": (2, 1)}), 1, **labels)
+
     @pytest.mark.parametrize("n_pos, n_neg", [(0, 5), (5, -1)])
     def test_bad_class_sizes(self, n_pos, n_neg):
         with pytest.raises(CountOutOfRange, match="invalid class sizes"):

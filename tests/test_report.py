@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import challenge_judge as cj
-from challenge_judge.errors import IoFailure
+from challenge_judge.errors import ConfigError, IoFailure
 from challenge_judge.metrics import MetricKind
 from challenge_judge.pipeline import RunConfig, analyze
 from challenge_judge.report import _tex_escape, emit_tables, half_up, to_dict, write_text
@@ -94,6 +95,12 @@ class TestJsonReport:
 
 
 class TestTables:
+    def test_figures_refuse_a_team_name_svg_cannot_carry(self, small_report, tmp_path):
+        bad = dataclasses.replace(small_report, teams=(*small_report.teams, "a\x01b"))
+        with pytest.raises(ConfigError, match=r"team 'a\\x01b' holds U\+0001"):
+            emit_all_figures(bad, tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_emitted_file_set(self, small_report, tmp_path):
         emit_tables(small_report, tmp_path)
         emit_all_figures(small_report, tmp_path)

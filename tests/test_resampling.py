@@ -72,32 +72,34 @@ class TestMakePlan:
     @pytest.mark.parametrize("n, seed, fallback", [
         *(pytest.param(n, 9, False, id=str(n)) for n in (1, 2, 3, 64, 500, 2182, 30001)),
         *(
-            pytest.param(n, seed, fallback, id=f"{n}-seed{seed}{'-state-dict' * fallback}")
+            pytest.param(n, seed, fallback, id=f"{n}-seed{seed}{'-fresh' * fallback}")
             for n in (500, 2182, 30001)  # 30001: rows that numpy redraws
             for seed, fallback in ((9, True), (TOP_SEED, False), (TOP_SEED, True))
         ),
     ])
     def test_every_row_matches_numpy_integers(self, n, seed, fallback, monkeypatch):
-        if fallback:  # re-key every row by state dict, as if numpy's layout had moved
-            monkeypatch.setattr(resampling, "_store_rekey", lambda bitgen, gen, seed: None)
+        if fallback:  # draw every row from a fresh Philox, as if numpy's layout had moved
+            monkeypatch.setattr(resampling, "_store_rekey", lambda bitgen, seed: None)
         plan = make_plan(n, MULTI_BLOCK_B, seed=seed)
         rows = indices(plan)
         for r in range(MULTI_BLOCK_B):
             assert np.array_equal(rows[r], oracle_row(seed, r, n)), r
 
     def test_installed_numpy_rekeys_by_stores(self, monkeypatch):
-        # the layout check accepts this numpy, so no row goes through the
-        # state dict, redrawn rows included
+        # the layout check accepts this numpy, so a fresh Philox is built only
+        # for the re-keyed generator, the check's probe and each redrawn row
         for seed in (9, TOP_SEED):
-            bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-            assert resampling._store_rekey(bitgen, np.random.Generator(bitgen), seed)
+            assert resampling._store_rekey(resampling._philox(seed, 0), seed)
 
-        def refuse(bitgen, seed):
-            raise AssertionError("re-keyed by state dict")
-
-        monkeypatch.setattr(resampling, "_dict_rekey", refuse)
+        built, real = [], resampling._philox
+        monkeypatch.setattr(resampling, "_philox", lambda s, row: built.append(row) or real(s, row))
         n = 30001
         rows = indices(make_plan(n, BLOCK_ROWS, seed=1))
+        redrawn = [
+            r for r in range(BLOCK_ROWS)
+            if not np.array_equal(multiply_shift_row(1, r, n), oracle_row(1, r, n))
+        ]
+        assert built == [0, 1, *redrawn] and len(redrawn) == 15
         for r in range(BLOCK_ROWS):
             assert np.array_equal(rows[r], oracle_row(1, r, n)), r
 
@@ -106,7 +108,7 @@ class TestMakePlan:
             key = np.array([9, 0], dtype=np.uint64)
             bitgen = np.random.Philox(key=key, counter=counter)
             bitgen.random_raw(drawn)
-            return resampling._store_rekey(bitgen, np.random.Generator(bitgen), seed)
+            return resampling._store_rekey(bitgen, seed)
 
         assert check() is not None
         assert check(seed=8) is None  # key words differ
@@ -373,6 +375,20 @@ class TestDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_memory_stays_bounded_past_the_packed_path(self):
+        # K=2 at n = 10**6 is counted through W, which holds 4 rows of n here:
+        # 64 rows would be 256 MB of float32 whatever b is
+        n = 1_000_000
+        mask = np.random.default_rng(4).random((n, 3)) < 0.5
+        plan = make_plan(n, BLOCK_ROWS, seed=42)
+        tracemalloc.start()
+        try:
+            resampling._counts(plan, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestPairedDifference:
