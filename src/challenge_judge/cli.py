@@ -1,9 +1,9 @@
 """Command-line front end: analyze, reconstruct, validate.
 
-Exit codes: 0 success, 2 configuration/validation failure, 1 internal
-error. ``analyze`` writes a run manifest next to its outputs echoing the
-result-relevant configuration plus a content hash of the input, so two
-runs can be diffed for reproducibility.
+Exit codes: 0 success, 2 configuration/validation failure or not enough
+memory, 1 internal error. ``analyze`` writes a run manifest next to its
+outputs echoing the result-relevant configuration plus a content hash of
+the input, so two runs can be diffed for reproducibility.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import dataset
 from .errors import ChallengeJudgeError, ConfigError
-from .metrics import ALL_METRICS, MetricKind
-from .pipeline import RunConfig, analyze
+from .metrics import ALL_METRICS, MetricKind, point_estimates
+from .pipeline import RunConfig, analyze, check_figure_names, check_run
 from .report import emit_tables, write_text
 from .svgfig import emit_all_figures
 
@@ -125,7 +125,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if config.out is None:
         raise ConfigError("--out is required")
     ds = dataset.load(config.input, config.positive)
-    report = analyze(ds, config)  # checks fig3 names before --out exists
+    report = analyze(ds, config)  # refuses, through check_run, before --out exists
     emit_tables(report, config.out)
     write_text(config.out / "manifest.json", _manifest(config))
     emit_all_figures(report, config.out)
@@ -134,13 +134,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _merge(args)
-    dataset.load(config.input, config.positive)
+    ds = dataset.load(config.input, config.positive)
+    check_run(ds, config, point_estimates(ds))
     print(f"{config.input}: OK")
     return EXIT_OK
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     spec = dataset.ReconstructionSpec.from_json(args.spec)
+    check_figure_names(spec.teams, ())  # so validate accepts every file reconstruct writes
     ds = dataset.reconstruct(
         spec, args.seed, positive=args.positive, negative=args.negative
     )
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="histogram pairs, e.g. teamA:teamB,teamA:teamC")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("validate", help="ingestion checks only; writes nothing")
+    p = sub.add_parser("validate", help="analyze's checks before resampling; writes nothing")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -192,6 +194,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ChallengeJudgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = str(exc) or "MemoryError"
+        print(f"error: not enough memory for this run ({detail}); lower --b", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # internal failure
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ConfigError, UnknownTeam
+from .errors import ConfigError, IoFailure, UnknownTeam
 from .inference import (
     DEFAULT_LEVEL,
     ConfidenceInterval,
@@ -144,18 +144,17 @@ def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -
             raise ConfigError(f"team {team!r} holds U+{ord(bad[0]):04X}, which SVG cannot carry")
 
 
-def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
-    """Run the full paired-bootstrap comparison on a validated dataset.
+def check_run(ds: LabeledDataset, config: RunConfig, points: Mapping) -> list[tuple[str, str]]:
+    """Make every refusal that needs the data but not the bootstrap; return the fig3 pairs.
 
-    Pair teams and figure names are checked before any resampling.
+    ``analyze`` calls it before resampling, and ``validate`` calls it too.
     """
     for pair in config.pairs or ():
         for t in pair:
             if t not in ds.teams:
                 raise UnknownTeam(f"pair names unknown team {t!r}")
-    points = point_estimates(ds)
-    hist_metric = lead_metric(config.metrics)
-    lead_pts = {t: points[t][hist_metric].value for t in ds.teams}
+    lead = lead_metric(config.metrics)
+    lead_pts = {t: points[t][lead].value for t in ds.teams}
     if config.pairs is not None:
         pair_list = config.pairs
     else:
@@ -164,6 +163,18 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     # each pair as the star matrix orients it: higher score first, ties by name
     oriented = [rank_teams({t: lead_pts[t] for t in pair}) for pair in pair_list]
     check_figure_names(ds.teams, oriented)
+    if config.out is not None:  # mkdir(parents=True) needs a directory above the missing part
+        here = next(p for p in (config.out, *config.out.parents) if p.exists())
+        if not here.is_dir():
+            raise IoFailure(f"cannot create {config.out}: {here} is not a directory")
+    return oriented
+
+
+def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
+    """Run the full paired-bootstrap comparison on a validated dataset."""
+    points = point_estimates(ds)
+    oriented = check_run(ds, config, points)
+    hist_metric = lead_metric(config.metrics)
 
     plan = make_plan(ds.n, config.b, config.seed)
     dists = distributions(ds, plan, config.metrics)
@@ -183,7 +194,7 @@ def analyze(ds: LabeledDataset, config: RunConfig) -> ComparisonReport:
     pairs = []
     hm = single_metric(dists, hist_metric)
     for a, b in oriented:
-        delta = lead_pts[a] - lead_pts[b]
+        delta = points[a][hist_metric].value - points[b][hist_metric].value
         d = paired_difference(hm[a], hm[b])
         pv = p_value(d, delta)
         pairs.append(PairAnalysis(a, b, hist_metric, delta, pv.p, pv.b_exceed, d))

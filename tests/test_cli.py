@@ -1,9 +1,14 @@
+import contextlib
+import io
 import itertools
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import challenge_judge as cj
 from challenge_judge import offendmex
@@ -230,11 +235,58 @@ class TestAnalyze:
         assert main(["analyze", *map(str, itertools.chain(*flags.items())), "--b", "200"]) == 2
         assert f"error: {missing} is required" in capsys.readouterr().err
 
-    def test_out_that_is_a_file_exits_2(self, small_csv, tmp_path, capsys):
+    def test_out_that_is_a_file_exits_2(self, small_csv, tmp_path, capsys, monkeypatch):
+        import challenge_judge.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("resampling ran before the --out check")
+
+        monkeypatch.setattr(pipeline_mod, "make_plan", never)
+        monkeypatch.setattr(pipeline_mod, "distributions", never)
         out = tmp_path / "taken"
         out.write_text("")
         assert run_analyze(small_csv, out) == 2
         assert f"error: cannot create {out}: " in capsys.readouterr().err
+        assert out.read_text() == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out)}))
+        assert main(["validate", "--input", str(small_csv), "--positive", "offensive",
+                     "--config", str(cfg)]) == 2
+        assert f"error: cannot create {out}: {out} is not a directory" in capsys.readouterr().err
+
+    def test_out_below_a_file_exits_2_before_resampling(self, small_csv, tmp_path, capsys,
+                                                         monkeypatch):
+        import challenge_judge.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("make_plan ran before the --out check")
+
+        monkeypatch.setattr(pipeline_mod, "make_plan", never)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "new" / "o"
+        assert run_analyze(small_csv, out) == 2
+        assert (
+            f"error: cannot create {out}: {tmp_path / 'taken'} is not a directory"
+            in capsys.readouterr().err
+        )
+
+    def test_out_with_missing_parents_is_created(self, small_csv, tmp_path):
+        out = tmp_path / "new" / "deeper" / "o"
+        assert run_analyze(small_csv, out) == 0
+        assert (out / "report.json").exists()
+
+    def test_out_of_memory_exits_2(self, small_csv, tmp_path, monkeypatch, capsys):
+        import challenge_judge.cli as cli_mod
+
+        def exhausted(ds, config):
+            raise MemoryError("Unable to allocate 1.56 GiB")
+
+        monkeypatch.setattr(cli_mod, "analyze", exhausted)
+        assert run_analyze(small_csv, tmp_path / "o") == 2
+        assert (
+            "error: not enough memory for this run (Unable to allocate 1.56 GiB); lower --b"
+            in capsys.readouterr().err
+        )
 
     def test_internal_error_exits_1(self, small_csv, tmp_path, monkeypatch):
         import challenge_judge.cli as cli_mod
@@ -343,18 +395,36 @@ class TestConfigPrecedence:
         ({"level": 1.0}, "level must be in [0.5, 1)"),
         ({"threads": 0}, "threads must be >= 1"),
         ({"pairs": [["ace", "mid"], ["mid", "ace"]]}, "pair mid:ace repeats an earlier pair"),
+        ({"pairs": [["ace", "zzz"]]}, "pair names unknown team 'zzz'"),
+        ({"input": "names.csv", "pairs": [["a/b", "z"]]},
+         "pair a/b:z: figure name 'fig3_a/b_vs_z.svg' holds '/' or NUL"),
+        ({"input": "names.csv", "pairs": [["x_vs_y", "z"], ["x", "y_vs_z"]]},
+         "pairs x_vs_y:z and x:y_vs_z share the figure name 'fig3_x_vs_y_vs_z.svg'"),
+        ({"input": "soh.csv", "pairs": [["ace", "mid"]]},
+         "team 'a\\x01b' holds U+0001, which SVG cannot carry"),
+        ({"out": "taken"}, "cannot create {tmp}/taken: {tmp}/taken is not a directory"),
     ])
     def test_validate_rejects_what_analyze_rejects(
         self, small_csv, tmp_path, capsys, doc, message
     ):
+        # relative paths in doc name files in tmp_path; soh.csv's odd team is in no pair
+        for name, extra in (("names.csv", {"a/b": (30, 10), "x_vs_y": (35, 5), "z": (10, 30),
+                                           "x": (30, 5), "y_vs_z": (5, 30)}),
+                            ("soh.csv", {"a\x01b": (10, 10)})):
+            spec = ReconstructionSpec(40, 80, {"ace": (35, 6), "mid": (28, 15), **extra})
+            write(reconstruct(spec, seed=3), tmp_path / name)
+        (tmp_path / "taken").write_text("")
+        doc = {"input": small_csv.name, "positive": "offensive", "out": "o", **doc}
+        for key in ("input", "out"):
+            doc[key] = str(tmp_path / doc[key])
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"input": str(small_csv), "positive": "offensive", **doc}))
-        out = tmp_path / "o"
+        cfg.write_text(json.dumps(doc))
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert main(["validate", "--config", str(cfg)]) == 2
-        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["analyze", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.count(f"error: {message}") == 2
-        assert not out.exists()
+        assert err.count(f"error: {message.format(tmp=tmp_path)}") == 2
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_malformed_config_exits_2_naming_line_and_column(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -385,6 +455,51 @@ class TestConfigPrecedence:
         assert from_file == from_flags
         assert from_file.metrics == (cj.MetricKind.F1, cj.MetricKind.RECALL)
         assert from_file.pairs == (("ace", "mid"), ("mid", "tail"))
+
+
+# names whose fig3 files collide, hold '/' or NUL or pass 255 bytes, or that SVG cannot carry
+ODD_TEAMS = ["ace", "z", "x", "x_vs_y", "y_vs_z", "a/b", "a\x00b", "a\x01b", "p" * 200, "q" * 200]
+
+
+@st.composite
+def runs(draw):
+    n_pos, n_neg = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    names = draw(st.lists(st.sampled_from(ODD_TEAMS), min_size=1, max_size=4, unique=True))
+    teams = {t: (draw(st.integers(0, n_pos)), draw(st.integers(0, n_neg))) for t in names}
+    pair = st.tuples(*[st.sampled_from([*names, "zzz"])] * 2).map(list)
+    pairs = draw(st.none() | st.lists(pair, min_size=1, max_size=3))
+    out = draw(st.sampled_from(["o", "taken", "taken/o", "new/o"]))
+    return ReconstructionSpec(n_pos, n_neg, teams), pairs, out
+
+
+class TestValidateAnalyzeParity:
+    @settings(max_examples=40, deadline=None)
+    @given(runs())
+    def test_validate_refuses_exactly_what_analyze_refuses(self, run):
+        spec, pairs, out = run
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write(reconstruct(spec, seed=1), tmp / "in.csv")
+            (tmp / "taken").write_text("")
+            doc = {"input": str(tmp / "in.csv"), "positive": "offensive", "b": 100,
+                   "out": str(tmp / out)}
+            if pairs is not None:
+                doc["pairs"] = pairs
+            (tmp / "cfg.json").write_text(json.dumps(doc))
+            before = set(tmp.rglob("*"))
+            codes, errors = [], []
+            for command in ("validate", "analyze"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes.append(main([command, "--config", str(tmp / "cfg.json")]))
+                lines = err.getvalue().splitlines()
+                errors.append([ln for ln in lines if ln.startswith("error:")])
+            assert codes[0] == codes[1] and codes[0] in (0, 2), errors
+            assert errors[0] == errors[1]
+            if codes[1] == 2:
+                assert set(tmp.rglob("*")) == before
+            else:
+                assert (tmp / out / "report.json").exists()
 
 
 class TestValidate:
@@ -537,6 +652,17 @@ class TestReconstruct:
         assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
         err = capsys.readouterr().err
         assert f"error: {spec_path}: not UTF-8 text" in err and "internal error" not in err
+        assert not out_csv.exists()
+
+    def test_team_no_figure_can_carry_exits_2_without_output(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        ReconstructionSpec(20, 30, {"t": (15, 5), "a\x01b": (10, 5)}).to_json(spec_path)
+        out_csv = tmp_path / "r.csv"
+        assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+        assert (
+            "error: team 'a\\x01b' holds U+0001, which SVG cannot carry"
+            in capsys.readouterr().err
+        )
         assert not out_csv.exists()
 
     def test_bad_spec_exits_2(self, tmp_path):
