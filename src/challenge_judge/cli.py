@@ -18,7 +18,7 @@ from pathlib import Path
 from . import dataset
 from .errors import ChallengeJudgeError, ConfigError
 from .metrics import ALL_METRICS, MetricKind, point_estimates
-from .pipeline import RunConfig, analyze, check_figure_names, check_run
+from .pipeline import RunConfig, analyze, check_run
 from .report import emit_tables, write_text
 from .svgfig import emit_all_figures
 
@@ -50,7 +50,16 @@ def _parse_metrics(value) -> tuple[MetricKind, ...]:
 
 
 def _parse_pairs(value) -> tuple[tuple[str, str], ...]:
-    """Pairs from a flag string ``"a:b,a:c"`` or a config-file list of [a, b]."""
+    """Pairs from a flag string ``"a:b,a:c"``, or a list of [a, b] as JSON text or from a config file.
+
+    The JSON form, a flag value starting with ``[``, can name a team whose
+    name holds ``:`` or ``,``.
+    """
+    if isinstance(value, str) and value.startswith("["):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"pairs {value!r} is not a JSON list ({exc.msg})") from None
     items = [chunk.split(":") for chunk in value.split(",")] if isinstance(value, str) else value
     if not isinstance(items, list):
         raise ConfigError(f"pairs must be a comma list or a JSON list, got {value!r}")
@@ -142,10 +151,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     spec = dataset.ReconstructionSpec.from_json(args.spec)
-    check_figure_names(spec.teams, ())  # so validate accepts every file reconstruct writes
     ds = dataset.reconstruct(
         spec, args.seed, positive=args.positive, negative=args.negative
     )
+    # refuse what a default analyze of the file would refuse, so validate accepts every file written
+    check_run(ds, RunConfig(positive=args.positive), point_estimates(ds))
     dataset.write(ds, args.out)
     return EXIT_OK
 
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="comma list of precision,recall,f1")
     p.add_argument("--out", help="output directory")
     p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
-    p.add_argument("--pairs", help="histogram pairs, e.g. teamA:teamB,teamA:teamC")
+    p.add_argument("--pairs", help='histogram pairs, e.g. teamA:teamB,teamA:teamC or [["a:b", "c"]]')
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate", help="analyze's checks before resampling; writes nothing")

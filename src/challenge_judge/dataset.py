@@ -12,12 +12,22 @@ characters included, is kept exactly as written. Each distinct gold or
 team label is held as one ``str`` object that every cell with that label
 refers to (ids are unique and kept as read), so the labels cost one
 pointer per cell: on a 20,000-row, 50-team file the dataset holds 10 MB
-rather than 69 MB, and a 50,000-row, 50-team file loads in 74 MB of
+rather than 69 MB, and a 50,000-row, 50-team file loads in 59 MB of
 resident memory rather than 245 MB. Which cells hold the positive label
 is worked out in one place, the cached ``positive_mask`` property, which
 fills one (n, K+1) bool array a column at a time without copying the
 cells; ``load`` checks its gold column, and the point estimates and the
 bootstrap share it.
+
+``load`` reads a file in one of two ways, with one result. A regular file
+with no ``"`` and no carriage return outside a CRLF line end, holding a
+few distinct labels, is tokenized as bytes in numpy, a bounded chunk of
+lines at a time: each label cell gets a one-byte code into the table of
+distinct labels, and the cells and ``positive_mask`` are filled from that
+table. Every other file, and every file whose rows hold a fault, is read
+by ``csv.reader``, which decides the outcome and the message; the byte
+reader never raises one of its own. One function checks the header for
+both.
 
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
@@ -27,11 +37,14 @@ only approximately reproduced for real leaderboards.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +63,8 @@ from .metrics import is_positive
 
 DEFAULT_NEGATIVE = "non-offensive"
 DEFAULT_POSITIVE = "offensive"
+MAX_LABELS = 32  # distinct gold and team labels the byte reader codes; more go to csv.reader
+CHUNK_BYTES = 1 << 17  # bytes tokenized at once: offset arrays stay a few MiB
 
 
 @dataclass(frozen=True)
@@ -103,21 +118,44 @@ class LabeledDataset:
 def load(path: str | Path, positive: str) -> LabeledDataset:
     """Load and validate a wide gold+predictions CSV."""
     path = Path(path)
+    read = _read_plain(path, positive)
+    if read is None:
+        header, cells, mask = *_read_csv(path), None
+    else:
+        header, cells, mask = read
+        _check_header(path, header)  # as csv.reader's path would: the rows are all well formed
+    teams = {t: cells[:, j] for j, t in enumerate(header[2:], start=2)}
+    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
+    if mask is not None:
+        vars(ds)["positive_mask"] = mask  # fills the cached property
+    if not ds.positive_mask[:, 0].any():
+        raise UnknownPositiveLabel(
+            f"{path}: positive label {positive!r} never occurs in the gold column"
+        )
+    return ds
+
+
+def _check_header(path: Path, header: list[str]) -> None:
+    if header[:2] != ["id", "gold"]:
+        raise MissingColumn(f"{path}: header must start with 'id,gold', got {header[:2]}")
+    team_names = header[2:]
+    if not team_names:
+        raise MissingColumn(f"{path}: no team columns after 'gold'")
+    if "" in team_names:
+        raise MissingColumn(
+            f"{path}: header column {header.index('', 2) + 1} has an empty team name"
+        )
+    if len(set(team_names)) != len(team_names):
+        raise DuplicateId(f"{path}: duplicate team column names")
+
+
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header and (n, K+2) cells as ``csv.reader`` reads them: every file's reference."""
     with as_io_failure(path, "read"), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            if header[:2] != ["id", "gold"]:
-                raise MissingColumn(f"{path}: header must start with 'id,gold', got {header[:2]}")
-            team_names = header[2:]
-            if not team_names:
-                raise MissingColumn(f"{path}: no team columns after 'gold'")
-            if "" in team_names:
-                raise MissingColumn(
-                    f"{path}: header column {header.index('', 2) + 1} has an empty team name"
-                )
-            if len(set(team_names)) != len(team_names):
-                raise DuplicateId(f"{path}: duplicate team column names")
+            _check_header(path, header)
             flat: list[str] = []  # every cell, row by row
             tokens: dict[str, str] = {}  # each distinct label -> its first str object
             seen: set[str] = set()
@@ -142,15 +180,141 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not flat:
         raise LengthMismatch(f"{path}: no data rows after the header")
-    cells = np.array(flat, dtype=object).reshape(-1, len(header))
-    del flat  # the array holds the references now; free the list before the mask
-    teams = {t: cells[:, j] for j, t in enumerate(team_names, start=2)}
-    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
-    if not ds.positive_mask[:, 0].any():
-        raise UnknownPositiveLabel(
-            f"{path}: positive label {positive!r} never occurs in the gold column"
-        )
-    return ds
+    return header, np.array(flat, dtype=object).reshape(-1, len(header))
+
+
+def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The header, cells and positive mask of a regular file with no quote, read as bytes.
+
+    Returns None, so that ``_read_csv`` decides the outcome, unless the
+    file is a regular UTF-8 file with no ``"`` and no ``\\r`` outside a
+    CRLF line end, every row holds as many non-empty cells as the header,
+    of at most the ``csv`` field limit in bytes, ids are unique, at most
+    MAX_LABELS distinct gold and team labels occur, and there are at least
+    three columns and one data row. Such a file splits at every comma and
+    line end exactly as ``csv.reader`` splits it. Each label cell gets a
+    one-byte code into the table of distinct labels, and the cells and the
+    mask are filled from that table by code, ``is_positive`` deciding the
+    mask once per label.
+    """
+    limit = csv.field_size_limit()
+    labels: dict[bytes, int] = {}  # each distinct label's bytes -> its code
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []  # per chunk, the (rows, K+1) label codes
+    try:
+        if not path.is_file():  # a pipe could not be read again by csv.reader
+            return None
+        with path.open("rb") as fh:
+            chunks = _line_chunks(fh)
+            first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
+            eol = first.find(b"\n")
+            line = first[:eol].removesuffix(b"\r")
+            if not line or b'"' in line or b"\r" in line:
+                return None
+            if max(map(len, line.split(b","))) > limit:
+                return None
+            header = line.decode().split(",")
+            if len(header) < 3:
+                return None
+            for chunk in filter(None, chain([first[eol + 1 :]], chunks)):
+                coded = _code_rows(chunk, len(header), limit, labels)
+                if coded is None:
+                    return None
+                ids += coded[0]
+                blocks.append(coded[1])
+        table = np.array([token.decode() for token in labels], dtype=object)
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not ids or len(set(ids)) != len(ids):
+        return None
+    cells = np.empty((len(ids), len(header)), dtype=object)
+    cells[:, 0] = ids
+    mask = np.empty((len(ids), len(header) - 1), dtype=bool)
+    positive_label = is_positive(table, positive)
+    lo = 0
+    for codes in blocks:
+        hi = lo + len(codes)
+        cells[lo:hi, 1:] = table[codes]
+        mask[lo:hi] = positive_label[codes]
+        lo = hi
+    return header, cells, mask
+
+
+def _line_chunks(fh) -> Iterator[bytes]:
+    """The file's bytes in pieces of whole lines, each ending in ``\\n``.
+
+    A piece holds CHUNK_BYTES or a little more; a missing final line end is
+    supplied, as ``csv.reader`` ends the last record at the end of the file.
+    """
+    carry = b""
+    while block := fh.read(CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield carry + block[:cut]
+            carry = block[cut:]
+        else:
+            carry += block
+    if carry:
+        yield carry + b"\n"
+
+
+def _code_rows(
+    chunk: bytes, width: int, limit: int, labels: dict[bytes, int]
+) -> tuple[list[str], np.ndarray] | None:
+    """The ids and (rows, width-1) uint8 label codes of whole lines, or None.
+
+    Cell bounds are offsets into this chunk alone. Labels are grouped by
+    length and told apart by comparing 8-byte windows that cover them;
+    each new one is added to ``labels``.
+    """
+    if b'"' in chunk:
+        return None
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    lf = a == ord("\n")
+    ends = np.flatnonzero(lf | (a == ord(",")))
+    rows = np.count_nonzero(lf)
+    # every row holds width cells, the last ended by a line end, the others by commas
+    if len(ends) != rows * width or not lf[ends[width - 1 :: width]].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    starts, ends = starts.reshape(rows, width), ends.reshape(rows, width)
+    if b"\r" in chunk:
+        cr = a == ord("\r")
+        if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & lf[1:]):
+            return None  # a carriage return that ends no CRLF
+        ends[:, -1] -= cr[ends[:, -1] - 1]
+    sizes = ends - starts
+    if sizes.min() < 1 or sizes.max() > limit:
+        return None
+    # the ids, each with the comma after it, gathered into one string
+    spans = sizes[:, 0] + 1
+    at = np.arange(spans.sum()) + np.repeat(starts[:, 0] - np.cumsum(spans) + spans, spans)
+    ids = a[at].tobytes().decode().split(",")[:-1]
+    codes = np.empty((rows, width - 1), dtype=np.uint8)
+    flat_codes = codes.reshape(-1)
+    first, sizes = starts[:, 1:].ravel(), sizes[:, 1:].ravel()
+    padded = np.frombuffer(chunk + bytes(7), dtype=np.uint8)
+    words = np.ndarray((len(chunk),), dtype="<u8", buffer=padded, strides=(1,))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        cells = np.flatnonzero(sizes == size)
+        base = first[cells]
+        covering = {*range(0, size - 8, 8), max(size - 8, 0)}  # window offsets; 0 if size <= 8
+        windows = [words[base + offset] for offset in covering]
+        if size < 8:
+            windows[0] &= np.uint64((1 << 8 * size) - 1)
+        while len(cells):
+            same = windows[0] == windows[0][0]
+            for window in windows[1:]:
+                same &= window == window[0]
+            code = labels.setdefault(chunk[base[0] : base[0] + size], len(labels))
+            if code >= MAX_LABELS:
+                return None
+            flat_codes[cells[same]] = code
+            rest = ~same
+            cells, base, windows = cells[rest], base[rest], [w[rest] for w in windows]
+    return ids, codes
 
 
 def write(ds: LabeledDataset, path: str | Path) -> None:

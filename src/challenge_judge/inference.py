@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NegativeDelta, TooFewTeams
-from .resampling import ScoreDistribution, paired_difference
+from .resampling import ScoreDistribution, check_aligned
 
 DEFAULT_LEVEL = 0.95
 
@@ -97,15 +97,35 @@ def percentile_ci(
     it defaults to the distribution mean when not supplied.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    (lower,), (upper,) = _percentile_rows(values.reshape(1, -1), level)
+    if point is None:
+        point = values.mean()
+    return ConfidenceInterval(lower, upper, level, float(point))
+
+
+def _percentile_rows(stack: np.ndarray, level: float) -> tuple[list[float], list[float]]:
+    """Lower and upper percentile endpoints of each row of a (rows, b) array.
+
+    Row by row, these equal the 1-D ``np.quantile`` calls bit for bit.
+    """
+    if stack.shape[1] == 0:
         raise ValueError("cannot take quantiles of an empty distribution")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
     alpha = (1.0 - level) / 2.0
-    lower, upper = np.quantile(values, [alpha, 1.0 - alpha], method="linear")
-    if point is None:
-        point = float(values.mean())
-    return ConfidenceInterval(float(lower), float(upper), level, float(point))
+    lower, upper = np.quantile(stack, [alpha, 1.0 - alpha], axis=1, method="linear")
+    return lower.tolist(), upper.tolist()
+
+
+def _stack(dists: Mapping[str, ScoreDistribution], teams: Sequence[str]) -> np.ndarray:
+    """The teams' replicate values as one row-contiguous (K, b) array, in ``teams`` order.
+
+    Raises PlanMismatch, as ``paired_difference`` would, unless every
+    distribution has the first one's b and metric.
+    """
+    for team in teams[1:]:
+        check_aligned(dists[teams[0]], dists[team])
+    return np.stack([dists[team].values for team in teams])
 
 
 def rank_teams(points: Mapping[str, float]) -> list[str]:
@@ -119,9 +139,11 @@ def ordered_intervals(
     level: float = DEFAULT_LEVEL,
 ) -> list[tuple[str, ConfidenceInterval]]:
     """Per-team percentile CIs sorted by full-dataset point estimate."""
+    ranked = rank_teams(points)
+    lower, upper = _percentile_rows(_stack(dists, ranked), level)
     return [
-        (team, percentile_ci(dists[team].values, level, points[team]))
-        for team in rank_teams(points)
+        (team, ConfidenceInterval(lo, hi, level, float(points[team])))
+        for team, lo, hi in zip(ranked, lower, upper)
     ]
 
 
@@ -138,14 +160,14 @@ def differences_from_best(
         raise TooFewTeams(f"need at least two teams, have {len(dists)}")
     ranked = rank_teams(points)
     best = ranked[0]
+    stack = _stack(dists, ranked)
+    diffs = stack[0] - stack[1:]  # row j: the best team minus ranked[j + 1]
+    lower, upper = _percentile_rows(diffs, level)
     results = []
-    for other in ranked[1:]:
-        diffs = paired_difference(dists[best], dists[other])
+    for other, lo, hi, mean in zip(ranked[1:], lower, upper, diffs.mean(axis=1).tolist()):
         delta = points[best] - points[other]
-        ci = percentile_ci(diffs, level, point=delta)
-        results.append(
-            DifferenceResult(best, other, delta, ci, float(diffs.mean()))
-        )
+        ci = ConfidenceInterval(lo, hi, level, float(delta))
+        results.append(DifferenceResult(best, other, delta, ci, mean))
     results.sort(key=lambda r: (r.mean, r.team_b))
     return results
 
@@ -191,11 +213,18 @@ def star_matrix(
     if len(dists) < 2:
         raise TooFewTeams(f"need at least two teams, have {len(dists)}")
     ranked = rank_teams(points)
+    stack = _stack(dists, ranked)
+    b = stack.shape[1]
     cells: dict[tuple[str, str], StarCell] = {}
-    for i, row_team in enumerate(ranked):
-        for col_team in ranked[:i]:
-            delta = points[col_team] - points[row_team]
-            diffs = paired_difference(dists[col_team], dists[row_team])
-            pv = p_value(diffs, delta)
-            cells[(row_team, col_team)] = StarCell(delta, pv.p, stars_for(pv.p))
+    for i, row_team in enumerate(ranked[1:], start=1):
+        # p_value of every column above this row at once: stack[j] - stack[i] against 2*delta
+        above = ranked[:i]
+        deltas = [points[col_team] - points[row_team] for col_team in above]
+        if negative := [delta for delta in deltas if delta < 0]:
+            raise NegativeDelta(f"delta must be >= 0, got {negative[0]}")
+        reach = stack[:i] - stack[i] >= 2.0 * np.array(deltas)[:, None]
+        exceed = np.count_nonzero(reach, axis=1).tolist()
+        for col_team, delta, b_exceed in zip(above, deltas, exceed):
+            p = (b_exceed + 1) / (b + 1)
+            cells[(row_team, col_team)] = StarCell(delta, p, stars_for(p))
     return StarMatrix(tuple(ranked), cells)

@@ -5,6 +5,12 @@ full precision together with a 4-decimal half-up display string; the CSV
 and LaTeX files (and the SVG figures) are views derived from the same
 report object. Each table's rows are built once and written by one writer
 as both ``<stem>.csv`` and ``<stem>.tex``.
+
+report.json holds the text of ``json.dumps(..., indent=2,
+ensure_ascii=False)``, written by a small writer of its own: Python 3.11's
+``json`` encodes indented output in pure Python, one value at a time,
+while this writer joins each list of finite floats, such as a pair's b
+replicate differences, in one call.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -114,6 +121,68 @@ def to_dict(r: ComparisonReport) -> dict:
     }
 
 
+_STR = json.encoder.encode_basestring  # a JSON string literal, non-ASCII kept as is
+
+
+def _scalar(x) -> str:
+    """``x`` as ``json.dumps`` writes a str, None, bool, int or float."""
+    if isinstance(x, str):
+        return _STR(x)
+    if x is None or isinstance(x, bool):
+        return {None: "null", True: "true", False: "false"}[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte, for str keys."""
+    parts: list[str] = []
+
+    def emit(value, newline: str) -> None:
+        if isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if isinstance(item, (dict, list, tuple)):
+                    parts.append(f"{sep}{_STR(key)}: ")
+                    emit(item, inner)
+                else:
+                    parts.append(f"{sep}{_STR(key)}: {_scalar(item)}")
+                sep = "," + inner
+            parts.append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            inner = newline + "  "
+            if set(map(type, value)) == {float}:
+                text = ("," + inner).join(map(float.__repr__, value))
+                if "n" not in text:  # no nan or inf, which JSON spells otherwise
+                    parts.append(f"[{inner}{text}{newline}]")
+                    return
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                emit(item, inner)
+                sep = "," + inner
+            parts.append(newline + "]")
+        else:
+            parts.append(_scalar(value))
+
+    emit(obj, "\n")
+    return "".join(parts)
+
+
 def write_text(path: Path, text: str) -> Path:
     """Write one UTF-8 output file, mapping OS errors to IoFailure."""
     with as_io_failure(path, "write"):
@@ -175,7 +244,7 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     with as_io_failure(out, "create"):
         out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(to_dict(r), indent=2, ensure_ascii=False) + "\n"
+    text = _dumps(to_dict(r)) + "\n"
     written = [write_text(out / "report.json", text)]
 
     def table(stem: str, csv_rows: list[list[str]], tex_header: list[str],

@@ -283,12 +283,17 @@ def _count_dtype(n: int) -> type:
     return np.float32 if n <= 2**24 else np.float64
 
 
-def paired_difference(da: ScoreDistribution, db: ScoreDistribution) -> np.ndarray:
-    """Element-wise score difference da - db, aligned by replicate."""
+def check_aligned(da: ScoreDistribution, db: ScoreDistribution) -> None:
+    """Raise PlanMismatch unless the two distributions share b and metric."""
     if da.b != db.b:
         raise PlanMismatch(f"distributions have b={da.b} and b={db.b}")
     if da.metric is not db.metric:
         raise PlanMismatch(f"metric mismatch: {da.metric} vs {db.metric}")
+
+
+def paired_difference(da: ScoreDistribution, db: ScoreDistribution) -> np.ndarray:
+    """Element-wise score difference da - db, aligned by replicate."""
+    check_aligned(da, db)
     return da.values - db.values
 
 

@@ -70,6 +70,32 @@ class TestAnalyze:
     def test_unknown_metric_exits_2(self, small_csv, tmp_path):
         assert run_analyze(small_csv, tmp_path / "o", "--metrics", "accuracy") == 2
 
+    def test_json_pairs_flag_names_a_team_holding_a_colon(self, tmp_path, capsys):
+        spec = ReconstructionSpec(40, 80, {"a:b": (35, 6), "c,d": (28, 15), "e": (18, 20)})
+        csv = tmp_path / "colon.csv"
+        write(reconstruct(spec, seed=3), csv)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": [["a:b", "c,d"]]}))
+        common = ["analyze", "--input", str(csv), "--positive", "offensive"]
+        from_file = _merge(build_parser().parse_args([*common, "--config", str(cfg)]))
+        from_flag = _merge(build_parser().parse_args([*common, "--pairs", '[["a:b", "c,d"]]']))
+        assert from_flag == from_file
+        assert from_flag.pairs == (("a:b", "c,d"),)
+        out = tmp_path / "o"
+        assert run_analyze(csv, out, "--pairs", '[["a:b", "c,d"]]') == 0
+        (pair,) = json.loads((out / "report.json").read_text())["pairs"]
+        assert (pair["team_a"], pair["team_b"]) == ("a:b", "c,d")
+        assert run_analyze(csv, tmp_path / "o2", "--pairs", "a:b:c,d") == 2
+        assert "bad pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ['[["ace", "mid"]', '[["ace"]]', '["ace:mid"]'])
+    def test_bad_json_pairs_flag_exits_2(self, small_csv, tmp_path, capsys, pairs):
+        out = tmp_path / "o"
+        assert run_analyze(small_csv, out, "--pairs", pairs) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "internal error" not in err
+        assert not out.exists()
+
     def test_explicit_pairs(self, small_csv, tmp_path):
         out = tmp_path / "o"
         assert run_analyze(small_csv, out, "--pairs", "mid:tail") == 0
@@ -664,6 +690,34 @@ class TestReconstruct:
             in capsys.readouterr().err
         )
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("teams, message", [
+        ({"p" * 200: (15, 1), "q" * 200: (14, 2), "r": (1, 9)}, "exceeds 255 bytes"),
+        ({"top": (15, 1), "a/b": (14, 2), "r": (1, 9)}, "holds '/' or NUL"),
+    ], ids=["200-character-names", "slash-in-top-three"])
+    def test_spec_whose_default_analyze_is_refused_exits_2(self, tmp_path, capsys, teams, message):
+        spec_path = tmp_path / "spec.json"
+        ReconstructionSpec(20, 30, teams).to_json(spec_path)
+        out_csv = tmp_path / "r.csv"
+        assert main(["reconstruct", "--spec", str(spec_path), "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "error: pair " in err and message in err
+        assert not out_csv.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs())
+    def test_reconstruct_refuses_exactly_what_a_default_validate_refuses(self, run):
+        spec = run[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            spec.to_json(tmp / "spec.json")
+            write(reconstruct(spec, seed=1), tmp / "lib.csv")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                made = main(["reconstruct", "--spec", str(tmp / "spec.json"), "--seed", "1",
+                             "--out", str(tmp / "cli.csv")])
+                valid = main(["validate", "--input", str(tmp / "lib.csv"), "--positive", "offensive"])
+            assert made == valid and made in (0, 2)
+            assert (tmp / "cli.csv").exists() == (made == 0)
 
     def test_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import challenge_judge as cj
-from challenge_judge import offendmex
+from challenge_judge import dataset as dataset_mod, offendmex
 from challenge_judge.dataset import ReconstructionSpec, load, reconstruct, write
 from challenge_judge.errors import (
     ConfigError,
@@ -456,3 +457,147 @@ class TestReconstruct:
         (lo1, hi1), (lo2, hi2) = endpoints
         assert lo1 == pytest.approx(lo2, abs=0.02)
         assert hi1 == pytest.approx(hi2, abs=0.02)
+
+
+# ---- the byte reader against the csv.reader reference ----
+
+def csv_only_load(path, positive):
+    """``load`` with the byte reader switched off: every file through ``csv.reader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset_mod, "_read_plain", lambda path, positive: None)
+        return load(path, positive)
+
+
+def outcome(read, path, positive):
+    """What a load gives: the dataset's ids, cells and mask, or its error's class and message."""
+    try:
+        ds = read(path, positive)
+    except cj.ChallengeJudgeError as exc:
+        return type(exc), str(exc)
+    columns = [col.tolist() for col in (ds.gold, *ds.teams.values())]
+    return ds.ids, ds.team_names, columns, ds.positive_mask.tolist()
+
+
+LIMIT = 24  # the csv field limit these tests set, so that an over-limit cell stays small
+PLAIN_CELLS = [
+    "p", "n", "pos", "neg", "p\x00", "\x00", "é", "好", "ünïcödé", " p",
+    "x" * 8, "x" * 9, "y" * 16, "z" * 17, "w" * LIMIT,
+]
+ODD_CELLS = ["", "v" * (LIMIT + 1), "a,b", 'say "hi"', "a\rb", "a\nb"]
+FAULTS = ["header", "odd cells", "row size", "id", "bare cr", "blank line", "not utf-8"]
+
+
+@st.composite
+def csv_files(draw):
+    """A wide CSV's bytes and a positive label: regular, or broken by one fault."""
+    fault = draw(st.sampled_from([None, None, None, *FAULTS]))
+    width = draw(st.integers(3, 5))
+    header = ["id", "gold", *(f"t{j}" for j in range(width - 2))]
+    if fault == "header":
+        header = draw(st.lists(st.sampled_from([*header, "t0", "", "x"]), min_size=1, max_size=5))
+    cell = st.sampled_from(PLAIN_CELLS + (ODD_CELLS if fault == "odd cells" else []))
+    rows = [header]
+    for i in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(0, width + 1)) if fault == "row size" else width
+        row = [draw(st.sampled_from(["1", "é", "", str(i)])) if fault == "id" else str(i)]
+        rows.append(row + draw(st.lists(cell, min_size=max(size - 1, 0), max_size=max(size - 1, 0))))
+    quote = draw(st.sampled_from(["needed", "never", "always"]))
+
+    def field(cell):
+        special = any(ch in cell for ch in ',"\r\n')
+        if quote == "always" or (quote == "needed" and special):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    ends = st.sampled_from(["\n", "\r\n", *(["\r"] if fault == "bare cr" else [])])
+    text = "".join(",".join(map(field, row)) + draw(ends) for row in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    if fault == "blank line":
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"] or [len(text)]))
+        text = text[:at] + "\n" + text[at:]
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if fault == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    golds = [row[1] for row in rows[1:] if len(row) > 1 and row[1]]
+    return data, draw(st.sampled_from([*golds[:1], "pos", "p\x00"]))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_load_equals_a_csv_reader_only_load(tmp_path, file):
+    data, positive = file
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    limit = csv.field_size_limit(LIMIT)
+    try:
+        assert outcome(load, path, positive) == outcome(csv_only_load, path, positive)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("text", [
+    "id,gold,a,b\n1,pos,pos,neg\n2,neg,neg,pos\n",
+    "id,gold,a,b\r\n1,pos,pos,neg\r\n2,neg,neg,pos\r\n",
+    "id,gold,a,b\r\n1,pos,pos,neg\n2,neg,neg,pos",
+    "﻿id,gold,a,é\n1,pos,p\x00,好\n\x00,pos,pos,neg\n",
+    "id,gold,a,b\n1,pos,zzzzzzzzzzzzzzzzzzzz,neg\n2,pos,zzzzzzzzzzzzzzzzzzzy,neg\n",
+], ids=["lf", "crlf", "mixed-no-final-end", "bom-nul-non-ascii", "long-labels"])
+def test_quote_free_files_take_the_byte_path(tmp_path, text):
+    path = write_csv(tmp_path, text)
+    assert dataset_mod._read_plain(path, "pos") is not None
+    assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
+
+
+@pytest.mark.parametrize("data", [
+    b"id,gold,t\n1,pos,a\rb\n2,neg,pos\n",
+    b"id,gold,t\n1,pos,pos\r2,neg,pos\n",
+    b"id,gold,t\r\n1,pos,pos\r\r\n",
+    b"id,gold,t\n1,pos,pos\r",
+    b"id,gold,t\r1,pos,pos\n",
+    b"id,gold,t\n1,pos,\r\n",
+    b"id,gold,t\n1,pos,pos\n\n",
+    b"id,gold,t\n1,pos,pos\n\r\n",
+    b"id,gold,t\n\n1,pos,pos\n",
+    b"\nid,gold,t\n1,pos,pos\n",
+    b"id,gold,t\n1,pos,pos,\n",
+    b"id,gold,t\n1,pos\n",
+    b"id,gold,t\n1,pos,pos\n1,neg,pos\n",
+    b"id,gold,t\n1,pos,p\xc3\n",
+    b"id,gold,t\n\xff,pos,pos\n",
+    b"id,gold,t\n",
+    b"id,gold,t",
+    b"",
+    b"id,gold\n1,pos\n",
+    b"id,gold,t,t\n1,pos,pos,neg\n",
+    b"id,gold,t,\n1,pos,pos,neg\n",
+    b"\xef\xbb\xbf\xef\xbb\xbfid,gold,t\n1,pos,pos\n",
+], ids=lambda data: repr(data)[2:40])
+def test_irregular_files_fail_as_csv_reader_fails(tmp_path, data):
+    path = tmp_path / "f.csv"
+    path.write_bytes(data)
+    assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
+
+
+def test_many_distinct_labels_go_to_csv_reader(tmp_path):
+    n = dataset_mod.MAX_LABELS + 1
+    rows = [f"{i},{'pos' if i == 0 else f'label{i}'},t{i}\n" for i in range(n)]
+    path = write_csv(tmp_path, "id,gold,t\n" + "".join(rows))
+    assert dataset_mod._read_plain(path, "pos") is None
+    ds = load(path, "pos")
+    assert ds.gold.tolist() == ["pos", *(f"label{i}" for i in range(1, n))]
+    assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
+
+
+def test_chunked_reads_keep_rows_whole(tmp_path, monkeypatch):
+    # rows that straddle many chunk boundaries, CRLF ends, a label per code
+    monkeypatch.setattr(dataset_mod, "CHUNK_BYTES", 7)
+    labels = [f"l{j}" for j in range(dataset_mod.MAX_LABELS - 1)] + ["pos"]
+    rows = [f"r{i},{labels[i % len(labels)]},{labels[(3 * i) % len(labels)]}\r\n" for i in range(90)]
+    path = write_csv(tmp_path, "id,gold,t\r\n" + "".join(rows))
+    assert dataset_mod._read_plain(path, "pos") is not None
+    assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import challenge_judge as cj
-from challenge_judge.errors import NegativeDelta, TooFewTeams
+from challenge_judge.errors import NegativeDelta, PlanMismatch, TooFewTeams
 from challenge_judge.inference import (
     ConfidenceInterval,
+    DifferenceResult,
+    StarCell,
+    StarMatrix,
     differences_from_best,
     ordered_intervals,
     p_value,
@@ -15,7 +18,13 @@ from challenge_judge.inference import (
     stars_for,
 )
 from challenge_judge.metrics import MetricKind
-from challenge_judge.resampling import ScoreDistribution, distributions, make_plan, single_metric
+from challenge_judge.resampling import (
+    ScoreDistribution,
+    distributions,
+    make_plan,
+    paired_difference,
+    single_metric,
+)
 
 F1 = MetricKind.F1
 
@@ -201,3 +210,79 @@ class TestRankTeams:
     def test_descending_with_lexicographic_ties(self):
         points = {"b": 0.5, "a": 0.5, "c": 0.9}
         assert rank_teams(points) == ["c", "a", "b"]
+
+
+# ---- the batched functions against the per-pair loop they replace ----
+
+def loop_intervals(dists, points, level):
+    alpha = (1.0 - level) / 2.0
+    out = []
+    for team in rank_teams(points):
+        lo, hi = np.quantile(dists[team].values, [alpha, 1.0 - alpha], method="linear")
+        out.append((team, ConfidenceInterval(float(lo), float(hi), level, float(points[team]))))
+    return out
+
+
+def loop_differences(dists, points, level):
+    alpha = (1.0 - level) / 2.0
+    ranked = rank_teams(points)
+    out = []
+    for other in ranked[1:]:
+        diffs = paired_difference(dists[ranked[0]], dists[other])
+        delta = points[ranked[0]] - points[other]
+        lo, hi = np.quantile(diffs, [alpha, 1.0 - alpha], method="linear")
+        ci = ConfidenceInterval(float(lo), float(hi), level, float(delta))
+        out.append(DifferenceResult(ranked[0], other, delta, ci, float(diffs.mean())))
+    return sorted(out, key=lambda r: (r.mean, r.team_b))
+
+
+def loop_star_matrix(dists, points):
+    ranked = rank_teams(points)
+    cells = {}
+    for i, row in enumerate(ranked):
+        for col in ranked[:i]:
+            delta = points[col] - points[row]
+            pv = p_value(paired_difference(dists[col], dists[row]), delta)
+            cells[(row, col)] = StarCell(delta, pv.p, stars_for(pv.p))
+    return StarMatrix(tuple(ranked), cells)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 50])
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_batched_inference_equals_the_per_pair_loop(k, metric):
+    # distributions as analyze makes them: column views of one (b, K) array,
+    # with ties, equal teams and replicates that land exactly on 2*delta
+    rng = np.random.default_rng(k)
+    n_pos, n_neg = 60, 90
+    teams = {f"t{j:02d}": (int(rng.integers(0, n_pos + 1)), int(rng.integers(0, n_neg + 1)))
+             for j in range(k)}
+    if k >= 2:
+        teams["t01"] = teams["t00"]
+    ds = cj.reconstruct(cj.ReconstructionSpec(n_pos, n_neg, teams), seed=k)
+    md = single_metric(distributions(ds, make_plan(ds.n, 1000, seed=3), [metric]), metric)
+    points = {t: cj.point_estimates(ds)[t][metric].value for t in ds.teams}
+    for level in (0.95, 0.9):
+        assert ordered_intervals(md, points, level) == loop_intervals(md, points, level)
+    if k == 1:
+        for batched in (differences_from_best, star_matrix):
+            with pytest.raises(TooFewTeams):
+                batched(md, points)
+        return
+    assert differences_from_best(md, points) == loop_differences(md, points, 0.95)
+    assert star_matrix(md, points) == loop_star_matrix(md, points)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50), st.floats(0.01, 0.99))
+def test_percentile_ci_equals_one_quantile_call(values, level):
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(np.asarray(values), [alpha, 1.0 - alpha], method="linear")
+    ci = percentile_ci(values, level)
+    assert (ci.lower, ci.upper, ci.point) == (float(lo), float(hi), float(np.mean(values)))
+
+
+def test_mismatched_distributions_are_refused_as_paired_difference_refuses():
+    dists = {"a": dist([0.5, 0.6]), "b": dist([0.4]), "c": dist([0.3, 0.2])}
+    points = {"a": 0.6, "b": 0.5, "c": 0.4}
+    for batched in (ordered_intervals, differences_from_best, star_matrix):
+        with pytest.raises(PlanMismatch, match="distributions have b=2 and b=1"):
+            batched(dists, points)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal
@@ -7,12 +8,13 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import challenge_judge as cj
 from challenge_judge.errors import ConfigError, IoFailure
 from challenge_judge.metrics import MetricKind
 from challenge_judge.pipeline import RunConfig, analyze
-from challenge_judge.report import _tex_escape, emit_tables, half_up, to_dict, write_text
+from challenge_judge.report import _dumps, _tex_escape, emit_tables, half_up, to_dict, write_text
 from challenge_judge.svgfig import (
     MIN_BINS,
     emit_all_figures,
@@ -305,3 +307,40 @@ class TestHistogram:
         # paired diffs concentrate around the observed full-data difference
         for p in full_report.pairs:
             assert abs(float(np.median(p.diffs)) - p.delta) < 0.01
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_categories=("Cs",)))
+    | st.sampled_from(["", "é好 ", "\x00\x1f\x7f\"\\", "\ud800"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(st.floats(), max_size=6)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_equals_indented_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[]]}, [math.nan, 1.0], [math.inf, -math.inf],
+    [1.0, 2], [0.1, -0.0, 1e300, 5e-324], {"é\n": ["\x01", None, True, False, -7]},
+    np.float64(0.25), [np.float64(0.5), 1.5],
+])
+def test_dumps_equals_json_dumps_on_edge_values(value):
+    assert _dumps(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_report_json_is_the_standard_encoders_text(small_report, tmp_path):
+    emit_tables(small_report, tmp_path)
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert text == json.dumps(to_dict(small_report), indent=2, ensure_ascii=False) + "\n"
