@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 2 configuration/validation failure or not enough
 memory, 1 internal error. ``analyze`` writes a run manifest next to its
-outputs echoing the result-relevant configuration plus a content hash of
-the input, so two runs can be diffed for reproducibility.
+outputs echoing the result-relevant configuration plus the SHA-256 of the
+input bytes that ``load`` parsed, a pipe's included, so two runs can be
+diffed for reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import fields
@@ -116,13 +116,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**given)
 
 
-def _manifest(config: RunConfig) -> str:
+def _manifest(config: RunConfig, input_sha256: str) -> str:
     """The input's SHA-256 and every setting but out and threads, which change no result."""
-    digest = hashlib.sha256()
-    with open(config.input, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB at a time, never the whole file
-            digest.update(chunk)
-    doc = {"command": "analyze", "input": config.input, "input_sha256": digest.hexdigest()}
+    doc = {"command": "analyze", "input": config.input, "input_sha256": input_sha256}
     for f in fields(config):
         if f.name not in ("input", "out", "threads"):
             doc[f.name] = getattr(config, f.name)
@@ -136,7 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ds = dataset.load(config.input, config.positive)
     report = analyze(ds, config)  # refuses, through check_run, before --out exists
     emit_tables(report, config.out)
-    write_text(config.out / "manifest.json", _manifest(config))
+    write_text(config.out / "manifest.json", _manifest(config, ds.sha256))
     emit_all_figures(report, config.out)
     return EXIT_OK
 

@@ -27,7 +27,9 @@ distinct labels, and the cells and ``positive_mask`` are filled from that
 table. Every other file, and every file whose rows hold a fault, is read
 by ``csv.reader``, which decides the outcome and the message; the byte
 reader never raises one of its own. One function checks the header for
-both.
+both. Each reader hashes the bytes as it reads them, and ``load`` keeps
+the SHA-256 of the pass whose result it returns, so the digest describes
+what was parsed, for a pipe too.
 
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,6 +79,7 @@ class LabeledDataset:
     gold: np.ndarray
     teams: dict[str, np.ndarray]
     positive: str
+    sha256: str | None = None  # hex SHA-256 of the bytes ``load`` parsed; None when built in memory
 
     def __post_init__(self):
         n = len(self.ids)
@@ -120,12 +125,12 @@ def load(path: str | Path, positive: str) -> LabeledDataset:
     path = Path(path)
     read = _read_plain(path, positive)
     if read is None:
-        header, cells, mask = *_read_csv(path), None
+        header, cells, sha256, mask = *_read_csv(path), None
     else:
-        header, cells, mask = read
+        header, cells, sha256, mask = read
         _check_header(path, header)  # as csv.reader's path would: the rows are all well formed
     teams = {t: cells[:, j] for j, t in enumerate(header[2:], start=2)}
-    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive)
+    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive, sha256)
     if mask is not None:
         vars(ds)["positive_mask"] = mask  # fills the cached property
     if not ds.positive_mask[:, 0].any():
@@ -149,9 +154,30 @@ def _check_header(path: Path, header: list[str]) -> None:
         raise DuplicateId(f"{path}: duplicate team column names")
 
 
-def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """The header and (n, K+2) cells as ``csv.reader`` reads them: every file's reference."""
-    with as_io_failure(path, "read"), path.open(newline="", encoding="utf-8-sig") as fh:
+class _Hashed(io.RawIOBase):
+    """A binary reader that adds every byte read through it to ``digest``."""
+
+    def __init__(self, raw: io.RawIOBase, digest) -> None:
+        self.raw, self.digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self.raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:size])
+        return size
+
+
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray, str]:
+    """The header, (n, K+2) cells and SHA-256 as ``csv.reader`` reads a file: the reference."""
+    digest = hashlib.sha256()
+    with (
+        as_io_failure(path, "read"),
+        path.open("rb", buffering=0) as raw,
+        io.TextIOWrapper(io.BufferedReader(_Hashed(raw, digest)),
+                         encoding="utf-8-sig", newline="") as fh,
+    ):
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -180,11 +206,11 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not flat:
         raise LengthMismatch(f"{path}: no data rows after the header")
-    return header, np.array(flat, dtype=object).reshape(-1, len(header))
+    return header, np.array(flat, dtype=object).reshape(-1, len(header)), digest.hexdigest()
 
 
-def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """The header, cells and positive mask of a regular file with no quote, read as bytes.
+def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, str, np.ndarray] | None:
+    """The header, cells, SHA-256 and positive mask of a regular file with no quote, read as bytes.
 
     Returns None, so that ``_read_csv`` decides the outcome, unless the
     file is a regular UTF-8 file with no ``"`` and no ``\\r`` outside a
@@ -201,11 +227,12 @@ def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, np.nd
     labels: dict[bytes, int] = {}  # each distinct label's bytes -> its code
     ids: list[str] = []
     blocks: list[np.ndarray] = []  # per chunk, the (rows, K+1) label codes
+    digest = hashlib.sha256()
     try:
         if not path.is_file():  # a pipe could not be read again by csv.reader
             return None
         with path.open("rb") as fh:
-            chunks = _line_chunks(fh)
+            chunks = _line_chunks(fh, digest)
             first = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
             eol = first.find(b"\n")
             line = first[:eol].removesuffix(b"\r")
@@ -237,17 +264,18 @@ def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, np.nd
         cells[lo:hi, 1:] = table[codes]
         mask[lo:hi] = positive_label[codes]
         lo = hi
-    return header, cells, mask
+    return header, cells, digest.hexdigest(), mask
 
 
-def _line_chunks(fh) -> Iterator[bytes]:
-    """The file's bytes in pieces of whole lines, each ending in ``\\n``.
+def _line_chunks(fh, digest) -> Iterator[bytes]:
+    """The file's bytes in pieces of whole lines, each ending in ``\\n``; each read is hashed.
 
     A piece holds CHUNK_BYTES or a little more; a missing final line end is
     supplied, as ``csv.reader`` ends the last record at the end of the file.
     """
     carry = b""
     while block := fh.read(CHUNK_BYTES):
+        digest.update(block)
         cut = block.rfind(b"\n") + 1
         if cut:
             yield carry + block[:cut]

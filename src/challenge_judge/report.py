@@ -1,10 +1,11 @@
 """Report serialization: canonical JSON plus derived CSV and LaTeX tables.
 
 report.json is the single source of truth. Every real number is stored at
-full precision together with a 4-decimal half-up display string; the CSV
-and LaTeX files (and the SVG figures) are views derived from the same
-report object. Each table's rows are built once and written by one writer
-as both ``<stem>.csv`` and ``<stem>.tex``.
+full precision together with a 4-decimal half-up display string. The CSV
+and LaTeX tables are rendered from report.json's own document, display
+strings included, so each value is rounded once, in ``to_dict``. Each
+table's rows are built once and written by one writer as both
+``<stem>.csv`` and ``<stem>.tex``.
 
 report.json holds the text of ``json.dumps(..., indent=2,
 ensure_ascii=False)``, written by a small writer of its own: Python 3.11's
@@ -240,12 +241,12 @@ STAR_NOTE = (
 
 
 def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json plus one CSV and one LaTeX fragment per table."""
+    """Write report.json, then one CSV and one LaTeX fragment per table, both from its document."""
     out = Path(out_dir)
     with as_io_failure(out, "create"):
         out.mkdir(parents=True, exist_ok=True)
-    text = _dumps(to_dict(r)) + "\n"
-    written = [write_text(out / "report.json", text)]
+    doc = to_dict(r)
+    written = [write_text(out / "report.json", _dumps(doc) + "\n")]
 
     def table(stem: str, csv_rows: list[list[str]], tex_header: list[str],
               tex_rows: list[list[str]], note: str | None = None) -> None:
@@ -253,40 +254,38 @@ def emit_tables(r: ComparisonReport, out_dir: str | Path) -> list[Path]:
         written.append(write_text(out / f"{stem}.tex", _tex_table(tex_header, tex_rows, note)))
 
     # table 1: point estimates, ordered by the lead metric's intervals
-    names = [str(m) for m in r.metrics]
+    names, points = doc["config"]["metrics"], doc["point_estimates"]
     rows = [
-        [team, *(half_up(r.points[team][m].value) for m in r.metrics)]
-        for team, _ in r.by_metric[lead_metric(r.metrics)].intervals
+        [e["team"], *(points[e["team"]][name]["display"] for name in names)]
+        for e in doc["metrics"][str(lead_metric(r.metrics))]["intervals"]
     ]
     table("table1", [["team", *names], *rows], ["Team", *names], rows)
 
-    for m, name in zip(r.metrics, names):
-        mr = r.by_metric[m]
+    for name, block in doc["metrics"].items():
         rows = [
-            [team, half_up(ci.lower), half_up(ci.upper), half_up(ci.point)]
-            for team, ci in mr.intervals
+            [e["team"], e["lower"]["display"], e["upper"]["display"], e["point"]["display"]]
+            for e in block["intervals"]
         ]
         table(f"table2_{name}", [["team", "lower", "upper", "point"], *rows],
               ["Team", "CI"], [[t, f"({lo},{hi})"] for t, lo, hi, _ in rows])
 
         rows = [
-            [d.team_b, half_up(d.ci.lower), half_up(d.mean), half_up(d.ci.upper),
-             "true" if d.contains_zero else "false"]
-            for d in mr.differences
+            [d["team_b"], d["ci"]["lower"]["display"], d["mean"]["display"],
+             d["ci"]["upper"]["display"], _scalar(d["contains_zero"])]
+            for d in block["differences"]
         ]
         table(f"table3_{name}", [["team", "ici", "mean", "sci", "contains_zero"], *rows],
               ["Team", "ICI", "Mean", "SCI"], [row[:4] for row in rows])
 
-        if mr.stars is None:
+        if block["star_matrix"] is None:
             table(f"table4_{name}", [["team"]], ["Team"], [])
             continue
         # row i holds a cell for each of the i columns ranked above it
-        teams, cells = mr.stars.teams, mr.stars.cells
-        rows = []
-        for i, row in enumerate(teams[1:], start=1):
-            above = [cells[row, col] for col in teams[:i]]
-            rows.append([row, *(f"{half_up(c.delta, 3)} {c.stars}".rstrip() for c in above),
-                         *[""] * (len(teams) - 1 - i)])
+        teams = block["star_matrix"]["teams"]
+        text = {(c["row"], c["col"]): f"{c['delta_display3']} {c['stars']}".rstrip()
+                for c in block["star_matrix"]["cells"]}
+        rows = [[row, *(text[row, col] for col in teams[:i]), *[""] * (len(teams) - 1 - i)]
+                for i, row in enumerate(teams[1:], start=1)]
         header = ["", *teams[:-1]]
         tex_rows = [[t, *(c.replace("†", "$\\dagger$") for c in texts)] for t, *texts in rows]
         table(f"table4_{name}", [header, *rows], header, tex_rows, note=STAR_NOTE)

@@ -1,10 +1,14 @@
 import contextlib
+import csv
+import hashlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -52,6 +56,39 @@ class TestAnalyze:
         assert doc["positive"] == "offensive"
         assert len(doc["input_sha256"]) == 64
         assert "threads" not in doc
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "fifo"])
+    def test_manifest_hashes_the_bytes_load_parsed(self, small_csv, tmp_path, pipe, quoted):
+        data = small_csv.read_bytes()
+        if quoted:  # every cell quoted, so csv.reader reads even the regular file
+            buf = io.StringIO()
+            csv.writer(buf, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(data.decode())))
+            data = buf.getvalue().encode()
+        path, done = tmp_path / "input.csv", threading.Event()
+
+        def feed():  # write the data once, then give any later reader an empty pipe
+            path.write_bytes(data)
+            while not done.wait(0.01):
+                with contextlib.suppress(OSError):  # raised while no reader waits
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+        if pipe:
+            os.mkfifo(path)
+            writer = threading.Thread(target=feed, daemon=True)
+            writer.start()
+        else:
+            path.write_bytes(data)
+        try:
+            assert run_analyze(path, tmp_path / "results") == 0
+        finally:
+            done.set()
+        if pipe:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+        doc = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert doc["input_sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_b_below_floor_exits_2(self, small_csv, tmp_path, capsys):
         code = main([

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import challenge_judge as cj
 from challenge_judge.errors import ConfigError, IoFailure
-from challenge_judge.metrics import MetricKind
+from challenge_judge.metrics import MetricKind, lead_metric
 from challenge_judge.pipeline import RunConfig, analyze
 from challenge_judge.report import _dumps, _tex_escape, emit_tables, half_up, to_dict, write_text
 from challenge_judge.svgfig import (
@@ -82,6 +82,53 @@ class TestJsonReport:
                 Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
             )
             assert display == expect
+
+    @pytest.mark.parametrize("fixture", ["small_report", "solo_report"])
+    def test_every_table_is_a_view_of_report_json(self, fixture, request, tmp_path):
+        report = request.getfixturevalue(fixture)
+        emit_tables(report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        names, points = doc["config"]["metrics"], doc["point_estimates"]
+        lead = doc["metrics"][str(lead_metric(report.metrics))]
+        expect = {"table1": [["team", *names]] + [
+            [e["team"], *(points[e["team"]][m]["display"] for m in names)] for e in lead["intervals"]
+        ]}
+        for m, block in doc["metrics"].items():
+            expect[f"table2_{m}"] = [["team", "lower", "upper", "point"]] + [
+                [e["team"], e["lower"]["display"], e["upper"]["display"], e["point"]["display"]]
+                for e in block["intervals"]
+            ]
+            expect[f"table3_{m}"] = [["team", "ici", "mean", "sci", "contains_zero"]] + [
+                [d["team_b"], d["ci"]["lower"]["display"], d["mean"]["display"],
+                 d["ci"]["upper"]["display"], json.dumps(d["contains_zero"])]
+                for d in block["differences"]
+            ]
+            sm = block["star_matrix"]
+            if sm is None:
+                expect[f"table4_{m}"] = [["team"]]
+                continue
+            teams = sm["teams"]
+            grid = [[team] + [""] * (len(teams) - 1) for team in teams[1:]]
+            for c in sm["cells"]:
+                cell = f"{c['delta_display3']} {c['stars']}".rstrip()
+                grid[teams.index(c["row"]) - 1][teams.index(c["col"]) + 1] = cell
+            expect[f"table4_{m}"] = [["", *teams[:-1]], *grid]
+
+        def tex_cells(stem, row):  # the same cells as the .tex file spells them
+            if stem.startswith("table2"):
+                return [row[0], f"({row[1]},{row[2]})"]
+            if stem.startswith("table3"):
+                return row[:4]
+            return [cell.replace("†", "$\\dagger$") for cell in row]
+
+        assert {p.stem for p in tmp_path.glob("*.csv")} == set(expect)
+        for stem, rows in expect.items():
+            text = (tmp_path / f"{stem}.csv").read_text(encoding="utf-8")
+            assert list(csv.reader(text.splitlines())) == rows, stem
+            tex = (tmp_path / f"{stem}.tex").read_text(encoding="utf-8").splitlines()
+            body = tex[4 : tex.index("\\hline", 4)]  # the lines between the header and the last rule
+            body = [line.removesuffix(" \\\\").split(" & ") for line in body]
+            assert body == [tex_cells(stem, row) for row in rows[1:]], stem
 
     def test_every_team_in_every_table(self, small_report):
         doc = to_dict(small_report)
