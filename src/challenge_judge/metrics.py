@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, TYPE_CHECKING
+from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -88,13 +88,36 @@ def confusion(gold: Sequence[str], pred: Sequence[str], positive: str) -> Confus
         )
     if gold.size == 0:
         raise LengthMismatch("label vectors must have at least one entry")
-    g = is_positive(gold, positive)
-    p = is_positive(pred, positive)
-    tp = int(np.sum(g & p))
-    fp = int(np.sum(~g & p))
-    fn = int(np.sum(g & ~p))
-    tn = int(np.sum(~g & ~p))
-    return ConfusionCounts(tp, fp, fn, tn)
+    mask = np.column_stack([is_positive(gold, positive), is_positive(pred, positive)])
+    tp, pp, gp = count_columns(mask).sum(axis=0).tolist()
+    return ConfusionCounts(tp, pp - tp, gp - tp, gold.size - pp - gp + tp)
+
+
+def count_columns(mask: np.ndarray) -> np.ndarray:
+    """The (n, 2K+1) 0/1 columns whose sums ``scores`` reads.
+
+    ``mask`` is an (n, K+1) gold-then-teams positive mask, such as
+    ``LabeledDataset.positive_mask``. The columns are each team's true
+    positives, then each team's predicted positives, then the gold positives.
+    """
+    g, p = mask[:, :1], mask[:, 1:]
+    return np.column_stack([g & p, p, g])
+
+
+def scores(
+    counts: np.ndarray, metrics: Iterable[MetricKind]
+) -> dict[MetricKind, tuple[np.ndarray, np.ndarray]]:
+    """``{metric: (values, defined)}`` from (..., 2K+1) sums of ``count_columns``.
+
+    Per team, fp = pp - tp and fn = gp - tp. ``counts`` is used up: its
+    predicted positives are turned into false positives in place, so the
+    (b, K) counts of a bootstrap are not copied.
+    """
+    k = counts.shape[-1] // 2
+    tp, fp, gp = counts[..., :k], counts[..., k : 2 * k], counts[..., 2 * k :]
+    fp -= tp
+    fn = gp - tp
+    return {m: metric_values(tp, fp, fn, m) for m in metrics}
 
 
 def metric_values(tp, fp, fn, kind: MetricKind):
@@ -127,22 +150,15 @@ def metric_values(tp, fp, fn, kind: MetricKind):
 
 def score(c: ConfusionCounts, m: MetricKind) -> Score:
     """Evaluate one metric on one set of confusion counts."""
-    values, defined = metric_values(
-        np.array([c.tp]), np.array([c.fp]), np.array([c.fn_]), m
-    )
+    values, defined = scores(np.array([c.tp, c.tp + c.fp, c.tp + c.fn_]), (m,))[m]
     return Score(float(values[0]), bool(defined[0]))
 
 
 def point_estimates(ds: "LabeledDataset") -> Mapping[str, Mapping[MetricKind, Score]]:
     """Full-dataset scores for every team and metric, from ``ds.positive_mask``."""
-    mask = ds.positive_mask
-    g, p = mask[:, :1], mask[:, 1:]
-    tp = (g & p).sum(axis=0)
-    fp = p.sum(axis=0) - tp
-    fn = int(g.sum()) - tp
+    counts = count_columns(ds.positive_mask).sum(axis=0)
     out: dict[str, dict[MetricKind, Score]] = {team: {} for team in ds.teams}
-    for m in ALL_METRICS:
-        values, defined = metric_values(tp, fp, fn, m)
+    for m, (values, defined) in scores(counts, ALL_METRICS).items():
         for team, v, d in zip(ds.teams, values.tolist(), defined.tolist()):
             out[team][m] = Score(v, d)
     return out

@@ -119,7 +119,12 @@ def pair_name(team_a: str, team_b: str) -> str:
     return f"{team_a}_vs_{team_b}"
 
 
-def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -> None:
+def histogram_file(name: str) -> str:
+    """The file name of the fig3 histogram of the pair called ``name`` (a ``pair_name``)."""
+    return f"fig3_{name}.svg"
+
+
+def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[str]:
     """Raise ConfigError unless every figure can be written under its name and draw its teams.
 
     Each pair's fig3 file name may hold no ``/`` or NUL, must fit in
@@ -127,10 +132,11 @@ def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -
     team is drawn in fig1 or fig2, so no team name may hold a character
     that XML 1.0 forbids even as a reference: a control character other
     than tab, newline and carriage return, a surrogate, U+FFFE or U+FFFF.
+    Returns the fig3 file names, in pair order.
     """
     seen: dict[str, str] = {}
     for a, b in pairs:
-        name = f"fig3_{pair_name(a, b)}.svg"
+        name = histogram_file(pair_name(a, b))
         pair = f"{a}:{b}"
         if "/" in name or "\0" in name:
             raise ConfigError(f"pair {pair}: figure name {name!r} holds '/' or NUL")
@@ -142,6 +148,7 @@ def check_figure_names(teams: Iterable[str], pairs: Iterable[tuple[str, str]]) -
     for team in teams:
         if bad := re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", team):
             raise ConfigError(f"team {team!r} holds U+{ord(bad[0]):04X}, which SVG cannot carry")
+    return list(seen)
 
 
 def check_run(ds: LabeledDataset, config: RunConfig, points: Mapping) -> list[tuple[str, str]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import PlanMismatch
-from .metrics import ALL_METRICS, MetricKind, metric_values
+from .metrics import ALL_METRICS, MetricKind, count_columns, scores
 
 DEFAULT_REPLICATES = 10_000
 BLOCK_ROWS = 64  # the most replicate rows generated or counted together
@@ -181,9 +181,8 @@ def distributions(
 ) -> dict[str, dict[MetricKind, ScoreDistribution]]:
     """All teams' distributions for the given metrics, sharing one plan.
 
-    Each replicate row is reduced to 2K+1 counts over 0/1 indicator columns:
-    each team's tp, each team's predicted positives, and the gold positives;
-    then fp = pp - tp and fn = gp - tp. ``_counts`` says how.
+    Each replicate row sums the dataset's ``count_columns`` (``_counts``
+    says how), and ``scores`` turns those sums into metric values.
 
     ``threads`` is validated and otherwise ignored; results and speed do
     not depend on it.
@@ -192,37 +191,28 @@ def distributions(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if plan.n != ds.n:
         raise PlanMismatch(f"plan is for n={plan.n} but dataset has n={ds.n}")
-    k = len(ds.teams)
-    counts = _counts(plan, ds.positive_mask)
-    tp, fp, gp = counts[:, :k], counts[:, k : 2 * k], counts[:, 2 * k :]
-    fp -= tp  # predicted positives become false positives in place
-    fn = gp - tp
+    counts = _counts(plan, count_columns(ds.positive_mask))
     out: dict[str, dict[MetricKind, ScoreDistribution]] = {team: {} for team in ds.teams}
-    for m in metrics:
-        values, defined = metric_values(tp, fp, fn, m)
+    for m, (values, defined) in scores(counts, metrics).items():
         degenerate = (~defined).sum(axis=0).tolist()
         for j, team in enumerate(ds.teams):
             out[team][m] = ScoreDistribution(m, values[:, j], degenerate[j])
     return out
 
 
-def _counts(plan: ResamplePlan, mask: np.ndarray) -> np.ndarray:
-    """The (b, 2K+1) int64 counts that ``distributions`` describes.
+def _counts(plan: ResamplePlan, columns: np.ndarray) -> np.ndarray:
+    """The (b, c) int64 sums of (n, c) 0/1 ``columns`` over each plan row's items.
 
-    ``mask`` is the dataset's (n, K+1) gold-then-teams ``positive_mask``.
-    When the 2K+1 counts fit side by side in one 64-bit word at
+    When the c counts fit side by side in one 64-bit word at
     ``n.bit_length()`` bits each, the rows are summed as packed codes
     (``_packed_counts``); otherwise they are counted block by block through
     a multiplicity matrix (``_block_counts``). Both give the same integers.
     """
-    g, p = mask[:, 0], mask[:, 1:]
-    # columns: every team's tp indicator, then every predicted positive, then gold
-    indicators = np.column_stack([g[:, None] & p, p, g])
     bits = plan.n.bit_length()
-    if indicators.shape[1] * bits <= 64:
-        return _packed_counts(plan, indicators, bits)
-    indicators = indicators.astype(_count_dtype(plan.n))  # frees the bool copy before counting
-    return _block_counts(plan, indicators)
+    if columns.shape[1] * bits <= 64:
+        return _packed_counts(plan, columns, bits)
+    columns = columns.astype(_count_dtype(plan.n))  # frees a caller's temporary before counting
+    return _block_counts(plan, columns)
 
 
 def _packed_counts(plan: ResamplePlan, indicators: np.ndarray, bits: int) -> np.ndarray:
@@ -242,7 +232,7 @@ def _packed_counts(plan: ResamplePlan, indicators: np.ndarray, bits: int) -> np.
     for first, idx in plan._passes():
         np.add.reduce(code.take(idx), axis=1, out=packed[first : first + len(idx)])
     fields = (packed[:, None] >> shifts) & np.uint64((1 << bits) - 1)
-    return fields.view(np.int64)  # every field is below 2**21
+    return fields.view(np.int64)  # every field is at most n < 2**63
 
 
 def _block_counts(plan: ResamplePlan, indicators: np.ndarray) -> np.ndarray:

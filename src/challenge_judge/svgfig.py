@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import ComparisonReport, check_figure_names, pair_name
+from .pipeline import ComparisonReport, check_figure_names, histogram_file, pair_name
 from .report import write_text
 
 WIDTH, HEIGHT = 1600, 900
@@ -192,7 +192,7 @@ def emit_histogram(
         c.line(sx(value), y0, sx(value), y1 - 10, stroke=color, width=2, dash="6 4",
                cls="mark-line")
         c.text(sx(value), y1 - 20, label, size=22, anchor="middle", fill=color)
-    return write_text(Path(out_dir) / f"fig3_{name}.svg", c.render())
+    return write_text(Path(out_dir) / histogram_file(name), c.render())
 
 
 def emit_all_figures(r: ComparisonReport, out_dir: str | Path) -> list[Path]:

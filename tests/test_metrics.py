@@ -10,8 +10,10 @@ from challenge_judge.metrics import (
     ConfusionCounts,
     MetricKind,
     confusion,
+    count_columns,
     metric_values,
     score,
+    scores,
 )
 
 P, R, F1 = MetricKind.PRECISION, MetricKind.RECALL, MetricKind.F1
@@ -120,6 +122,29 @@ class TestProperties:
         assert score(fwd, P) == score(rev, R)
         assert score(fwd, R) == score(rev, P)
         assert score(fwd, F1) == score(rev, F1)
+
+    def test_count_columns_lay_out_tp_then_predicted_then_gold(self):
+        # mask columns: gold, t1, t2
+        mask = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0]], dtype=bool)
+        assert count_columns(mask).astype(int).tolist() == [
+            [1, 0, 1, 0, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0], [0, 0, 0, 0, 0],
+        ]
+
+    @pytest.mark.parametrize("tp, pp, gp", [
+        ([[3], [0], [5]], [[4], [0], [5]], [[6], [2], [5]]),  # K = 1, b = 3
+        ([[3, 0, 6], [1, 2, 0]], [[4, 0, 9], [1, 5, 3]], [[6], [2]]),  # K = 3, b = 2
+    ])
+    def test_scores_split_the_count_columns(self, tp, pp, gp):
+        # counts laid out as count_columns sums them: tp..., pp..., gp
+        tp, pp, gp = np.array(tp), np.array(pp), np.array(gp)
+        counts = np.concatenate([tp, pp, gp], axis=1)
+        got = scores(counts, ALL_METRICS)
+        assert list(got) == list(ALL_METRICS)
+        for m in ALL_METRICS:
+            values, defined = metric_values(tp, pp - tp, gp - tp, m)
+            assert np.array_equal(got[m][0], values)
+            assert np.array_equal(got[m][1], defined)
+        assert np.array_equal(counts[:, tp.shape[1] : -1], pp - tp)  # fp, in place
 
     def test_values_equal_one_float_division_of_the_counts(self):
         # every (tp, fp, fn) in [0, 100]^3, as (b, K) int64 blocks

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import challenge_judge as cj
 from challenge_judge.errors import ConfigError, IoFailure
 from challenge_judge.metrics import MetricKind, lead_metric
-from challenge_judge.pipeline import RunConfig, analyze
+from challenge_judge.pipeline import RunConfig, analyze, check_figure_names
 from challenge_judge.report import _dumps, _tex_escape, emit_tables, half_up, to_dict, write_text
 from challenge_judge.svgfig import (
     MIN_BINS,
@@ -162,6 +162,16 @@ class TestTables:
         for p in small_report.pairs:
             expected.add(f"fig3_{p.team_a}_vs_{p.team_b}.svg")
         assert names == expected
+
+    def test_vetted_fig3_names_are_the_files_written(self, small_report, tmp_path):
+        # the pre-flight vets the very names that the histograms are written under
+        pairs = [(p.team_a, p.team_b) for p in small_report.pairs]
+        vetted = check_figure_names(small_report.teams, pairs)
+        written = emit_all_figures(small_report, tmp_path)
+        assert len(vetted) == len(pairs) == 2
+        assert [p.name for p in written[2:]] == vetted
+        others = {"fig1_intervals.svg", "fig2_differences.svg"}
+        assert {p.name for p in tmp_path.iterdir()} == others | set(vetted)
 
     def test_table_csv_values_match_report(self, small_report, tmp_path):
         emit_tables(small_report, tmp_path)

@@ -8,7 +8,7 @@ import pytest
 import challenge_judge as cj
 from challenge_judge import resampling
 from challenge_judge.errors import PlanMismatch
-from challenge_judge.metrics import MetricKind, confusion, metric_values, score
+from challenge_judge.metrics import MetricKind, confusion, count_columns, metric_values, score
 from challenge_judge.resampling import (
     BLOCK_ROWS,
     _count_dtype,
@@ -339,6 +339,22 @@ class TestDistribution:
                 assert np.array_equal(dists[team][m].values, values)
                 assert dists[team][m].degenerate_count == int(np.sum(~defined))
 
+    @pytest.mark.parametrize("c, packed", [(3, True), (7, False)])
+    def test_counts_sum_any_columns_over_the_plan_rows(self, c, packed, monkeypatch):
+        # 0/1 columns in no mask's layout, at n = 600 (10 bits a field): 3
+        # fields share one word, 7 need 70 bits and go through W
+        n, b = 600, MULTI_BLOCK_B
+        columns = np.random.default_rng(8).integers(0, 2, size=(n, c), dtype=np.int8)
+        packed_calls = []
+        real = resampling._packed_counts
+        monkeypatch.setattr(resampling, "_packed_counts",
+                            lambda *args: packed_calls.append(args) or real(*args))
+        counts = resampling._counts(make_plan(n, b, seed=3), columns)
+        assert bool(packed_calls) == packed
+        assert counts.dtype == np.int64
+        expected = np.stack([columns[oracle_row(3, r, n)].sum(axis=0) for r in range(b)])
+        assert np.array_equal(counts, expected)
+
     def test_counts_use_float32_while_it_is_exact(self):
         # every partial sum of a replicate's counts is an integer <= n
         assert _count_dtype(2**24) is np.float32
@@ -384,7 +400,7 @@ class TestDistribution:
         plan = make_plan(n, BLOCK_ROWS, seed=42)
         tracemalloc.start()
         try:
-            resampling._counts(plan, mask)
+            resampling._counts(plan, count_columns(mask))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
