@@ -12,9 +12,8 @@ memory does not grow with b*n.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,20 +48,31 @@ class ResamplePlan:
     def _passes(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(first_row, idx)``: rows first_row, first_row + 1, ... as int64.
 
-        Row r is ``Generator(_philox(seed, r)).integers(0, n, size=n)``, bit
-        for bit. A row's ceil(n/2) raw 64-bit words are drawn at once, from
-        one Philox re-keyed per row by ``_store_rekey`` or, if its layout
-        check fails, from a fresh ``_philox``. Each word holds two 32-bit
-        draws, low half first (numpy's ``next_uint32`` order), which
-        ``_lemire`` maps to [0, n). A row holding a draw that numpy would
-        reject and redraw (rare unless n is large) is numpy's own call.
+        Row r is ``Generator(Philox(key=[seed, r])).integers(0, n, size=n)``,
+        bit for bit. Before each row one Philox is re-keyed by its public
+        ``state`` setter from one reused dict of lists (arrays set twice as
+        slowly): key [seed, r], counter zero, empty buffer, no spare 32-bit
+        half. The row's ceil(n/2) raw 64-bit words are drawn at once; each
+        holds two 32-bit draws, low half first (numpy's ``next_uint32``
+        order), which ``_lemire`` maps to [0, n). A row holding a draw numpy
+        would reject and redraw (rare unless n is large) is numpy's own call.
 
         Passes hold ``_pow2_rows(REDUCE_DRAWS, n)`` rows, so they tile the
         counting blocks. ``idx`` is one reused buffer: the caller may change
         it in place but must be done with it before asking for the next pass.
         """
-        n, seed = self.n, self.seed
-        stream = _store_rekey(_philox(seed, 0), seed) or (lambda row: _philox(seed, row))
+        n = self.n
+        key = [self.seed, 0]
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
         words = (n + 1) // 2
         step = _pow2_rows(REDUCE_DRAWS, n)
         raw = np.empty((step, words), dtype="<u8")  # little-endian: low half first
@@ -70,76 +80,21 @@ class ResamplePlan:
         for first in range(0, self.b, step):
             rows = min(step, self.b - first)
             for i in range(rows):
-                raw[i] = stream(first + i).random_raw(words)
+                key[1] = first + i
+                bitgen.state = fresh
+                raw[i] = bitgen.random_raw(words)
             draws = raw[:rows].view("<u4")[:, :n]
             idx, rejected = _lemire(draws, n, product[:rows])
             for i in np.flatnonzero(rejected).tolist():
-                gen = np.random.Generator(_philox(seed, first + i))
+                key[1] = first + i
+                bitgen.state = fresh
                 idx[i] = gen.integers(0, n, size=n, dtype=np.int32)
             yield first, idx
-
-
-def _philox(seed: int, row: int) -> np.random.Philox:
-    """Row ``row``'s stream, keyed by uint64 (a list sends seeds >= 2**63 through float64)."""
-    return np.random.Philox(key=np.array([seed, row], dtype=np.uint64))
 
 
 def _pow2_rows(draws: int, n: int) -> int:
     """The largest power of two rows of n, at most BLOCK_ROWS, within ``draws`` (at least 1)."""
     return 1 << (max(1, min(BLOCK_ROWS, draws // n)).bit_length() - 1)
-
-
-class _PhiloxState(ctypes.Structure):
-    """numpy's private ``philox_state`` (numpy/random/src/philox/philox.h).
-
-    The layout is numpy's, not a public ABI: ``_store_rekey`` checks it on
-    a fresh generator before writing through it.
-    """
-
-    _fields_ = [
-        ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
-        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
-        ("buffer_pos", ctypes.c_int),
-        ("buffer", ctypes.c_uint64 * 4),
-        ("has_uint32", ctypes.c_int),
-        ("uinteger", ctypes.c_uint32),
-    ]
-
-
-def _store_rekey(bitgen: np.random.Philox, seed: int) -> Callable[[int], np.random.Philox] | None:
-    """``row -> bitgen`` re-keyed by writing its state words, or None if their layout fails.
-
-    ``bitgen`` must be ``_philox(seed, 0)`` with nothing drawn. No pointer
-    is followed until the plain fields read as numpy sets them (an empty
-    buffer, position 4, no spare 32-bit half); then the key must read
-    [seed, 0] and the counter zero; then, after a drawn word, row 1 must
-    draw what ``_philox(seed, 1)`` draws across a block boundary.
-
-    ``rekey(row)`` writes key word 1 (the row), counter word 0 (a row draws
-    far fewer than 2**64 blocks, so words 1-3 stay 0) and the buffer
-    position (4: the next draw computes a new block). It never resets the
-    spare 32-bit half, so only ``random_raw`` may draw from ``bitgen``.
-    """
-    try:
-        state = _PhiloxState.from_address(bitgen.ctypes.state_address)
-        fields = (state.buffer_pos, state.has_uint32, state.uinteger, *state.buffer)
-        if fields != (4, 0, 0, 0, 0, 0, 0):
-            return None
-        key, ctr = state.key.contents, state.ctr.contents
-        if (*key, *ctr) != (seed, 0, 0, 0, 0, 0):
-            return None
-
-        def rekey(row: int) -> np.random.Philox:
-            key[1] = row
-            ctr[0] = 0
-            state.buffer_pos = 4
-            return bitgen
-
-        bitgen.random_raw(1)
-        probe = rekey(1).random_raw(5).tolist()
-        return rekey if probe == _philox(seed, 1).random_raw(5).tolist() else None
-    except Exception:
-        return None
 
 
 def _lemire(draws: np.ndarray, n: int, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
