@@ -6,30 +6,28 @@ UTF-8, comma-delimited, header in the first row, with standard CSV quoting
 be non-empty; a leading UTF-8 byte-order mark is skipped. ``write`` and
 ``load`` are inverses for every non-empty token.
 
-``load`` keeps the cells as ``str`` objects in one (n, K+2) object array;
-``gold`` and each team column are views of it, so every token, NUL
-characters included, is kept exactly as written. Each distinct gold or
-team label is held as one ``str`` object that every cell with that label
-refers to (ids are unique and kept as read), so the labels cost one
-pointer per cell: on a 20,000-row, 50-team file the dataset holds 10 MB
-rather than 69 MB, and a 50,000-row, 50-team file loads in 59 MB of
-resident memory rather than 245 MB. Which cells hold the positive label
-is worked out in one place, the cached ``positive_mask`` property, which
-fills one (n, K+1) bool array a column at a time without copying the
-cells; ``load`` checks its gold column, and the point estimates and the
-bootstrap share it.
+Each reader gives one label table: the distinct labels, and the (n, K+1)
+codes of the gold and team cells into them. ``load`` indexes the table by
+the codes into one object array of ``str`` whose columns are ``gold`` and
+the teams, so every token, NUL included, is kept exactly as written, and
+each distinct label is one ``str`` object that every cell with it refers
+to (ids are unique and kept as read): on a 20,000-row, 50-team file the
+dataset holds 10 MB rather than 69 MB, and a 50,000-row, 50-team file
+loads in 62 MB of resident memory rather than 245 MB. ``load`` is the one
+place that applies the positive label to a file: it compares each
+distinct label once and indexes the result by the codes into the cached
+(n, K+1) bool ``positive_mask``, which a dataset built in memory fills a
+column at a time. The point estimates and the bootstrap share that mask.
 
 ``load`` reads a file in one of two ways, with one result. A regular file
 with no ``"`` and no carriage return outside a CRLF line end, holding a
 few distinct labels, is tokenized as bytes in numpy, a bounded chunk of
-lines at a time: each label cell gets a one-byte code into the table of
-distinct labels, and the cells and ``positive_mask`` are filled from that
-table. Every other file, and every file whose rows hold a fault, is read
-by ``csv.reader``, which decides the outcome and the message; the byte
-reader never raises one of its own. One function checks the header for
-both. Each reader hashes the bytes as it reads them, and ``load`` keeps
-the SHA-256 of the pass whose result it returns, so the digest describes
-what was parsed, for a pipe too.
+lines at a time. Every other file, and every file whose rows hold a
+fault, is read by ``csv.reader``, which decides the outcome and the
+message; the byte reader never raises one of its own. One function checks
+the header for both. Each reader hashes the bytes as it reads them, and
+``load`` keeps the SHA-256 of the pass whose result it returns, so the
+digest describes what was parsed, for a pipe too.
 
 ``reconstruct`` builds a dataset from per-team (tp, fp) confusion counts.
 Marginal metrics of the result are exact; joint agreement between teams is
@@ -44,9 +42,10 @@ import csv
 import hashlib
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator
 
@@ -111,7 +110,8 @@ class LabeledDataset:
     def positive_mask(self) -> np.ndarray:
         """(n, K+1) bool: which gold, then each team's, labels are positive.
 
-        Tokens are compared as ``str`` objects, exactly, one column at a time.
+        Tokens are compared as ``str`` objects, exactly, a column at a time
+        without copying the cells; ``load`` fills it once per distinct label.
         """
         columns = (self.gold, *self.teams.values())
         mask = np.empty((self.n, len(columns)), dtype=bool)
@@ -123,16 +123,15 @@ class LabeledDataset:
 def load(path: str | Path, positive: str) -> LabeledDataset:
     """Load and validate a wide gold+predictions CSV."""
     path = Path(path)
-    read = _read_plain(path, positive)
-    if read is None:
-        header, cells, sha256, mask = *_read_csv(path), None
-    else:
-        header, cells, sha256, mask = read
-        _check_header(path, header)  # as csv.reader's path would: the rows are all well formed
-    teams = {t: cells[:, j] for j, t in enumerate(header[2:], start=2)}
-    ds = LabeledDataset(tuple(cells[:, 0].tolist()), cells[:, 1], teams, positive, sha256)
-    if mask is not None:
-        vars(ds)["positive_mask"] = mask  # fills the cached property
+    read = _read_plain(path)
+    if read is not None:
+        _check_header(path, read[0])  # as csv.reader's path would: the rows are all well formed
+    header, ids, codes, labels, sha256 = read or _read_csv(path)
+    table = np.array(labels, dtype=object)
+    cells = table[codes]
+    teams = {t: cells[:, j] for j, t in enumerate(header[2:], start=1)}
+    ds = LabeledDataset(tuple(ids), cells[:, 0], teams, positive, sha256)
+    vars(ds)["positive_mask"] = is_positive(table, positive)[codes]  # fills the cached property
     if not ds.positive_mask[:, 0].any():
         raise UnknownPositiveLabel(
             f"{path}: positive label {positive!r} never occurs in the gold column"
@@ -169,8 +168,12 @@ class _Hashed(io.RawIOBase):
         return size
 
 
-def _read_csv(path: Path) -> tuple[list[str], np.ndarray, str]:
-    """The header, (n, K+2) cells and SHA-256 as ``csv.reader`` reads a file: the reference."""
+def _read_csv(path: Path) -> tuple[list[str], list[str], np.ndarray, list[str], str]:
+    """The header, ids, label codes, labels and SHA-256 as ``csv.reader`` reads a file.
+
+    This is the reference reader. ``codes`` is (n, K+1), each cell an index
+    into ``labels``, the distinct labels in the order they first occur.
+    """
     digest = hashlib.sha256()
     with (
         as_io_failure(path, "read"),
@@ -182,8 +185,9 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray, str]:
         try:
             header = next(reader, [])
             _check_header(path, header)
-            flat: list[str] = []  # every cell, row by row
-            tokens: dict[str, str] = {}  # each distinct label -> its first str object
+            ids: list[str] = []
+            flat: list[int] = []  # every label cell's code, row by row
+            code = defaultdict(count().__next__)  # each distinct label -> its code
             seen: set[str] = set()
             start = reader.line_num + 1  # a quoted cell can span lines
             for row in reader:
@@ -197,20 +201,20 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray, str]:
                 if "" in row:
                     raise EmptyCell(f"empty cell at {path}:{lineno} ({header[row.index('')]})")
                 seen.add(row[0])
-                flat.append(row[0])
-                labels = row[1:]
-                flat.extend(map(tokens.setdefault, labels, labels))
+                ids.append(row[0])
+                flat.extend(map(code.__getitem__, row[1:]))
         except csv.Error as exc:
             raise IoFailure(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise IoFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not flat:
+    if not ids:
         raise LengthMismatch(f"{path}: no data rows after the header")
-    return header, np.array(flat, dtype=object).reshape(-1, len(header)), digest.hexdigest()
+    codes = np.array(flat, np.intp).reshape(len(ids), -1)
+    return header, ids, codes, list(code), digest.hexdigest()
 
 
-def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, str, np.ndarray] | None:
-    """The header, cells, SHA-256 and positive mask of a regular file with no quote, read as bytes.
+def _read_plain(path: Path) -> tuple[list[str], list[str], np.ndarray, list[str], str] | None:
+    """What ``_read_csv`` returns, for a regular file with no quote, read as bytes.
 
     Returns None, so that ``_read_csv`` decides the outcome, unless the
     file is a regular UTF-8 file with no ``"`` and no ``\\r`` outside a
@@ -219,14 +223,13 @@ def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, str, 
     MAX_LABELS distinct gold and team labels occur, and there are at least
     three columns and one data row. Such a file splits at every comma and
     line end exactly as ``csv.reader`` splits it. Each label cell gets a
-    one-byte code into the table of distinct labels, and the cells and the
-    mask are filled from that table by code, ``is_positive`` deciding the
-    mask once per label.
+    one-byte code into the table of distinct labels, numbered by chunk and
+    by length rather than in file order.
     """
     limit = csv.field_size_limit()
     labels: dict[bytes, int] = {}  # each distinct label's bytes -> its code
     ids: list[str] = []
-    blocks: list[np.ndarray] = []  # per chunk, the (rows, K+1) label codes
+    flat = bytearray()  # every label cell's code, row by row
     digest = hashlib.sha256()
     try:
         if not path.is_file():  # a pipe could not be read again by csv.reader
@@ -248,23 +251,14 @@ def _read_plain(path: Path, positive: str) -> tuple[list[str], np.ndarray, str, 
                 if coded is None:
                     return None
                 ids += coded[0]
-                blocks.append(coded[1])
-        table = np.array([token.decode() for token in labels], dtype=object)
+                flat += coded[1].data
+        table = [token.decode() for token in labels]
     except (OSError, UnicodeDecodeError):
         return None
     if not ids or len(set(ids)) != len(ids):
         return None
-    cells = np.empty((len(ids), len(header)), dtype=object)
-    cells[:, 0] = ids
-    mask = np.empty((len(ids), len(header) - 1), dtype=bool)
-    positive_label = is_positive(table, positive)
-    lo = 0
-    for codes in blocks:
-        hi = lo + len(codes)
-        cells[lo:hi, 1:] = table[codes]
-        mask[lo:hi] = positive_label[codes]
-        lo = hi
-    return header, cells, digest.hexdigest(), mask
+    codes = np.frombuffer(flat, np.uint8).reshape(len(ids), -1)
+    return header, ids, codes, table, digest.hexdigest()
 
 
 def _line_chunks(fh, digest) -> Iterator[bytes]:

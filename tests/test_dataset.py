@@ -276,7 +276,7 @@ def label_columns(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(label_columns(), st.sampled_from(["list", "unicode", "load"]))
+@given(label_columns(), st.sampled_from(["list", "unicode", "load", "quoted"]))
 def test_positive_mask_matches_string_comparison(tmp_path, columns, build):
     gold, teams, positive = columns
     ids = tuple(map(str, range(len(gold))))
@@ -289,6 +289,11 @@ def test_positive_mask_matches_string_comparison(tmp_path, columns, build):
     if build == "load":
         write(ds, tmp_path / "m.csv")
         ds = load(tmp_path / "m.csv", positive)
+    if build == "quoted":  # every cell quoted: read by csv.reader, not the byte reader
+        with (tmp_path / "q.csv").open("w", newline="", encoding="utf-8") as fh:
+            rows = zip(ds.ids, ds.gold, *ds.teams.values())
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([["id", "gold", *teams], *rows])
+        ds = load(tmp_path / "q.csv", positive)
     expected = [[tok == positive for tok in col] for col in (ds.gold, *ds.teams.values())]
     assert ds.positive_mask.T.tolist() == expected
     assert ds.positive_mask is ds.positive_mask
@@ -464,7 +469,7 @@ class TestReconstruct:
 def csv_only_load(path, positive):
     """``load`` with the byte reader switched off: every file through ``csv.reader``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset_mod, "_read_plain", lambda path, positive: None)
+        mp.setattr(dataset_mod, "_read_plain", lambda path: None)
         return load(path, positive)
 
 
@@ -549,7 +554,7 @@ def test_load_equals_a_csv_reader_only_load(tmp_path, file):
 ], ids=["lf", "crlf", "mixed-no-final-end", "bom-nul-non-ascii", "long-labels"])
 def test_quote_free_files_take_the_byte_path(tmp_path, text):
     path = write_csv(tmp_path, text)
-    assert dataset_mod._read_plain(path, "pos") is not None
+    assert dataset_mod._read_plain(path) is not None
     assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
 
 
@@ -587,7 +592,7 @@ def test_many_distinct_labels_go_to_csv_reader(tmp_path):
     n = dataset_mod.MAX_LABELS + 1
     rows = [f"{i},{'pos' if i == 0 else f'label{i}'},t{i}\n" for i in range(n)]
     path = write_csv(tmp_path, "id,gold,t\n" + "".join(rows))
-    assert dataset_mod._read_plain(path, "pos") is None
+    assert dataset_mod._read_plain(path) is None
     ds = load(path, "pos")
     assert ds.gold.tolist() == ["pos", *(f"label{i}" for i in range(1, n))]
     assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
@@ -599,5 +604,32 @@ def test_chunked_reads_keep_rows_whole(tmp_path, monkeypatch):
     labels = [f"l{j}" for j in range(dataset_mod.MAX_LABELS - 1)] + ["pos"]
     rows = [f"r{i},{labels[i % len(labels)]},{labels[(3 * i) % len(labels)]}\r\n" for i in range(90)]
     path = write_csv(tmp_path, "id,gold,t\r\n" + "".join(rows))
-    assert dataset_mod._read_plain(path, "pos") is not None
+    assert dataset_mod._read_plain(path) is not None
     assert outcome(load, path, "pos") == outcome(csv_only_load, path, "pos")
+
+
+def test_both_readers_give_one_label_table(tmp_path, monkeypatch):
+    # the byte reader numbers labels by chunk and length, so their codes may differ; cells may not
+    monkeypatch.setattr(dataset_mod, "CHUNK_BYTES", 64)
+    labels = ["p", "n", "p\x00", "\x00", "é", "好", "x" * 9, "y" * 16, " p"]
+    rows = [
+        f"r{i},{labels[i % 9]},{labels[5 * i % 9]},{labels[(7 * i + 3) % 9]}\n" for i in range(60)
+    ]
+    path = write_csv(tmp_path, "id,gold,a,b\n" + "".join(rows))
+    plain, reference = dataset_mod._read_plain(path), dataset_mod._read_csv(path)
+    assert plain is not None
+    assert plain[:2] == reference[:2] and plain[4] == reference[4]  # header, ids, SHA-256
+    assert sorted(plain[3]) == sorted(reference[3]) == sorted(labels)
+
+    def cells(read):
+        return np.array(read[3], dtype=object)[read[2]].tolist()
+
+    assert cells(plain) == cells(reference)
+
+
+def test_csv_reader_keeps_more_labels_than_a_byte_codes(tmp_path):
+    rows = [f"{i},{'pos' if i == 0 else f'g{i}'},t{i}\n" for i in range(300)]
+    ds = load(write_csv(tmp_path, "id,gold,t\n" + "".join(rows)), "pos")
+    assert ds.gold.tolist() == ["pos", *(f"g{i}" for i in range(1, 300))]
+    assert ds.teams["t"].tolist() == [f"t{i}" for i in range(300)]
+    assert ds.positive_mask.sum(axis=0).tolist() == [1, 0]
